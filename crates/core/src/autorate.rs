@@ -21,9 +21,10 @@
 //! * all controller soft state is memory-bounded: entries idle past
 //!   [`AutoRateConfig::idle_evict`] periods are evicted, and a hard
 //!   [`AutoRateConfig::byte_budget`] is enforced by oldest-first
-//!   eviction. Lifecycle events purge entries through the shared
-//!   [`LifecycleEvent`] taxonomy, so controller state never outlives the
-//!   incarnation it observed.
+//!   eviction through an ordered age index, so each eviction costs
+//!   O(log n) instead of a scan. Lifecycle events purge entries through
+//!   the shared [`LifecycleEvent`] taxonomy, so controller state never
+//!   outlives the incarnation it observed.
 //!
 //! Determinism contract: the controller is fed only per-peer observation
 //! streams that both drivers compute serially (round stats, ledger
@@ -32,7 +33,7 @@
 //! counts with the controller enabled, and the invariant auditors can
 //! check its state like any other protocol state.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use ace_overlay::PeerId;
 
@@ -221,6 +222,62 @@ impl RateEntry {
             last_touch: period,
         }
     }
+
+    /// Folds one period's sample into the estimates and, when the peer
+    /// ran its optimization (`ran`), decides its next interval through
+    /// [`policy::next_opt_interval`] and schedules the next due period.
+    /// Returns how many sample components were rejected.
+    fn absorb(&mut self, cfg: &AutoRateConfig, sample: &RateSample, period: u64, ran: bool) -> u64 {
+        let alpha = cfg.ewma_alpha;
+        let mut rejected = 0u64;
+        let mut fold = |est: &mut f64, x: f64| {
+            if x.is_finite() && x >= 0.0 {
+                *est = alpha * x + (1.0 - alpha) * *est;
+            } else {
+                rejected += 1;
+            }
+        };
+        fold(&mut self.ewma_queries, sample.queries);
+        fold(&mut self.ewma_churn, sample.churn_events);
+        // No traffic measurement at all (both sides zero) is absence of
+        // evidence, not evidence of zero gain: the estimate stands. A
+        // *present* but invalid measurement is rejected below.
+        if sample.flood_traffic != 0.0 || sample.ace_traffic != 0.0 {
+            let frequency_ratio = self.ewma_queries * self.interval;
+            match optimization_rate_checked(
+                sample.flood_traffic,
+                sample.ace_traffic,
+                sample.overhead,
+                frequency_ratio,
+            ) {
+                Ok(gain) if gain.is_finite() => {
+                    self.ewma_gain = alpha * gain + (1.0 - alpha) * self.ewma_gain;
+                }
+                // Zero-overhead windows report infinite gain; treat them
+                // as maximal demand without poisoning the EWMA.
+                Ok(_) => self.ewma_gain = self.ewma_gain.max(1.0 + cfg.hysteresis + 1e-9),
+                Err(_) => rejected += 1,
+            }
+        }
+        if ran {
+            let obs = RateObservation {
+                ewma_churn: self.ewma_churn,
+                ewma_gain: self.ewma_gain,
+                retry_pressure: sample.retry_pressure,
+                current_interval: self.interval,
+            };
+            self.interval = policy::next_opt_interval(cfg, &obs);
+            let wait = self.interval.round().max(1.0) as u64;
+            self.next_due = period + wait;
+        }
+        rejected
+    }
+
+    /// Snaps the schedule to the floor: interval `r_min`, due `period`.
+    fn snap(&mut self, cfg: &AutoRateConfig, period: u64) {
+        self.interval = cfg.r_min;
+        self.next_due = period;
+    }
 }
 
 /// Accounted bytes per controller entry: key + entry + map-node
@@ -249,11 +306,17 @@ pub struct ControllerStats {
 /// The per-peer optimization-rate controller shared by both drivers.
 ///
 /// Entries live in a `BTreeMap` keyed by raw peer id so every iteration
-/// (updates, eviction scans, digest) is in deterministic peer-id order.
+/// (audit, digest) is in deterministic peer-id order. Beside them, an
+/// age index orders the same entries by `(last_touch, id)`: the oldest
+/// entry (ties: lowest peer id) is its first element, so budget and
+/// idle eviction cost O(log n) per evicted entry instead of a scan over
+/// every entry.
 #[derive(Clone, Debug)]
 pub struct RateController {
     cfg: AutoRateConfig,
     entries: BTreeMap<u32, RateEntry>,
+    /// `(last_touch, id)` of every entry in `entries`, nothing else.
+    ages: BTreeSet<(u64, u32)>,
     high_water: usize,
     evictions: u64,
     purges: u64,
@@ -268,6 +331,7 @@ impl RateController {
         RateController {
             cfg,
             entries: BTreeMap::new(),
+            ages: BTreeSet::new(),
             high_water: 0,
             evictions: 0,
             purges: 0,
@@ -312,62 +376,32 @@ impl RateController {
         ran: bool,
     ) -> f64 {
         let cfg = self.cfg;
-        let entry = self
-            .entries
-            .entry(peer.raw())
-            .or_insert_with(|| RateEntry::fresh(&cfg, incarnation, period));
-        if entry.incarnation != incarnation {
-            // A new incarnation must not inherit its predecessor's
-            // estimates (or its schedule).
-            *entry = RateEntry::fresh(&cfg, incarnation, period);
-        }
-        let alpha = cfg.ewma_alpha;
-        let mut rejected = 0u64;
-        let mut fold = |est: &mut f64, x: f64| {
-            if x.is_finite() && x >= 0.0 {
-                *est = alpha * x + (1.0 - alpha) * *est;
-            } else {
-                rejected += 1;
-            }
-        };
-        fold(&mut entry.ewma_queries, sample.queries);
-        fold(&mut entry.ewma_churn, sample.churn_events);
-        // No traffic measurement at all (both sides zero) is absence of
-        // evidence, not evidence of zero gain: the estimate stands. A
-        // *present* but invalid measurement is rejected below.
-        if sample.flood_traffic != 0.0 || sample.ace_traffic != 0.0 {
-            let frequency_ratio = entry.ewma_queries * entry.interval;
-            match optimization_rate_checked(
-                sample.flood_traffic,
-                sample.ace_traffic,
-                sample.overhead,
-                frequency_ratio,
-            ) {
-                Ok(gain) if gain.is_finite() => {
-                    entry.ewma_gain = alpha * gain + (1.0 - alpha) * entry.ewma_gain;
-                }
-                // Zero-overhead windows report infinite gain; treat them
-                // as maximal demand without poisoning the EWMA.
-                Ok(_) => entry.ewma_gain = entry.ewma_gain.max(1.0 + cfg.hysteresis + 1e-9),
-                Err(_) => rejected += 1,
-            }
-        }
-        entry.last_touch = period;
-        if ran {
-            let obs = RateObservation {
-                ewma_churn: entry.ewma_churn,
-                ewma_gain: entry.ewma_gain,
-                retry_pressure: sample.retry_pressure,
-                current_interval: entry.interval,
-            };
-            entry.interval = policy::next_opt_interval(&cfg, &obs);
-            let wait = entry.interval.round().max(1.0) as u64;
-            entry.next_due = period + wait;
-        }
+        let entry = self.touch(peer, incarnation, period);
+        let rejected = entry.absorb(&cfg, sample, period, ran);
         let interval = entry.interval;
         self.rejected += rejected;
         self.enforce_budget(Some(peer));
         interval
+    }
+
+    /// `peer`'s entry with `last_touch = period`, re-indexed by age. A
+    /// missing entry, or one of another incarnation, starts fresh: a new
+    /// incarnation must not inherit its predecessor's estimates (or its
+    /// schedule).
+    fn touch(&mut self, peer: PeerId, incarnation: u32, period: u64) -> &mut RateEntry {
+        let cfg = self.cfg;
+        let id = peer.raw();
+        let entry = self
+            .entries
+            .entry(id)
+            .or_insert_with(|| RateEntry::fresh(&cfg, incarnation, period));
+        self.ages.remove(&(entry.last_touch, id));
+        if entry.incarnation != incarnation {
+            *entry = RateEntry::fresh(&cfg, incarnation, period);
+        }
+        entry.last_touch = period;
+        self.ages.insert((period, id));
+        entry
     }
 
     /// Snaps `peer`'s schedule back to the floor: interval `r_min`, due
@@ -379,50 +413,46 @@ impl RateController {
     /// one, which is already at the floor and due.
     pub fn snap_to_floor(&mut self, peer: PeerId, incarnation: u32, period: u64) {
         let cfg = self.cfg;
-        let entry = self
-            .entries
-            .entry(peer.raw())
-            .or_insert_with(|| RateEntry::fresh(&cfg, incarnation, period));
-        if entry.incarnation != incarnation {
-            *entry = RateEntry::fresh(&cfg, incarnation, period);
-        }
-        entry.interval = cfg.r_min;
-        entry.next_due = period;
-        entry.last_touch = period;
+        self.touch(peer, incarnation, period).snap(&cfg, period);
         self.enforce_budget(Some(peer));
     }
 
     /// End-of-period maintenance: evict idle entries, enforce the byte
     /// budget, and advance the high-water mark.
     pub fn end_period(&mut self, period: u64) {
+        // Idleness is monotone in `last_touch`, so the idle entries are
+        // exactly a prefix of the age index.
         let idle = self.cfg.idle_evict;
-        let before = self.entries.len();
-        self.entries
-            .retain(|_, e| period.saturating_sub(e.last_touch) <= idle);
-        self.evictions += (before - self.entries.len()) as u64;
+        while let Some(&(touch, id)) = self.ages.first() {
+            if period.saturating_sub(touch) <= idle {
+                break;
+            }
+            self.ages.pop_first();
+            self.entries.remove(&id);
+            self.evictions += 1;
+        }
         self.enforce_budget(None);
     }
 
     /// Evicts oldest-touched entries (ties: lowest peer id) until the
     /// byte budget holds, never evicting `keep` (the entry just
-    /// touched). Updates the high-water mark afterwards, so the mark is
+    /// touched). The victim is the first age-index element that is not
+    /// `keep`. Updates the high-water mark afterwards, so the mark is
     /// always a value that actually fit under the budget.
     fn enforce_budget(&mut self, keep: Option<PeerId>) {
+        let keep = keep.map(PeerId::raw);
         while self.soft_state_bytes() > self.cfg.byte_budget && self.entries.len() > 1 {
-            let victim = self
-                .entries
-                .iter()
-                .filter(|(&id, _)| keep.map(PeerId::raw) != Some(id))
-                .min_by_key(|(&id, e)| (e.last_touch, id))
-                .map(|(&id, _)| id);
+            let victim = self.ages.iter().copied().find(|&(_, id)| Some(id) != keep);
             match victim {
-                Some(id) => {
-                    self.entries.remove(&id);
+                Some(age) => {
+                    self.ages.remove(&age);
+                    self.entries.remove(&age.1);
                     self.evictions += 1;
                 }
                 None => break,
             }
         }
+        debug_assert_eq!(self.ages.len(), self.entries.len());
         self.high_water = self.high_water.max(self.soft_state_bytes());
     }
 
@@ -432,7 +462,11 @@ impl RateController {
     /// incarnation starts from the static schedule, and a departed
     /// peer's schedule dies with it).
     pub fn on_lifecycle(&mut self, peer: PeerId, event: LifecycleEvent) {
-        if event.clears_own_state() && self.entries.remove(&peer.raw()).is_some() {
+        if !event.clears_own_state() {
+            return;
+        }
+        if let Some(e) = self.entries.remove(&peer.raw()) {
+            self.ages.remove(&(e.last_touch, peer.raw()));
             self.purges += 1;
         }
     }
@@ -535,6 +569,7 @@ fn splitmix64(mut x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(i: u32) -> PeerId {
         PeerId::new(i)
@@ -852,5 +887,182 @@ mod tests {
         assert_ne!(a.digest(), b.digest());
         b.observe(p(0), 0, 0, &busy_sample(), true);
         assert_eq!(a.digest(), b.digest());
+    }
+
+    /// The linear-scan eviction the age index replaced, kept as an
+    /// oracle: a controller whose bookkeeping runs the old way (its age
+    /// index stays empty) and whose victim is a `min_by_key` over every
+    /// entry. Estimates and schedules share [`RateEntry`]'s code, so the
+    /// two can only differ in which entries they evict, and when.
+    struct LinearOracle(RateController);
+
+    impl LinearOracle {
+        fn entry(&mut self, peer: PeerId, incarnation: u32, period: u64) -> &mut RateEntry {
+            let cfg = self.0.cfg;
+            let e = self
+                .0
+                .entries
+                .entry(peer.raw())
+                .or_insert_with(|| RateEntry::fresh(&cfg, incarnation, period));
+            if e.incarnation != incarnation {
+                *e = RateEntry::fresh(&cfg, incarnation, period);
+            }
+            e.last_touch = period;
+            e
+        }
+
+        fn observe(
+            &mut self,
+            peer: PeerId,
+            inc: u32,
+            period: u64,
+            s: &RateSample,
+            ran: bool,
+        ) -> f64 {
+            let cfg = self.0.cfg;
+            let e = self.entry(peer, inc, period);
+            let rejected = e.absorb(&cfg, s, period, ran);
+            let interval = e.interval;
+            self.0.rejected += rejected;
+            self.enforce_budget(Some(peer));
+            interval
+        }
+
+        fn snap_to_floor(&mut self, peer: PeerId, inc: u32, period: u64) {
+            let cfg = self.0.cfg;
+            self.entry(peer, inc, period).snap(&cfg, period);
+            self.enforce_budget(Some(peer));
+        }
+
+        fn end_period(&mut self, period: u64) {
+            let idle = self.0.cfg.idle_evict;
+            let before = self.0.entries.len();
+            self.0
+                .entries
+                .retain(|_, e| period.saturating_sub(e.last_touch) <= idle);
+            self.0.evictions += (before - self.0.entries.len()) as u64;
+            self.enforce_budget(None);
+        }
+
+        fn on_lifecycle(&mut self, peer: PeerId) {
+            if self.0.entries.remove(&peer.raw()).is_some() {
+                self.0.purges += 1;
+            }
+        }
+
+        fn enforce_budget(&mut self, keep: Option<PeerId>) {
+            let c = &mut self.0;
+            while c.soft_state_bytes() > c.cfg.byte_budget && c.entries.len() > 1 {
+                let victim = c
+                    .entries
+                    .iter()
+                    .filter(|(&id, _)| keep.map(PeerId::raw) != Some(id))
+                    .min_by_key(|(&id, e)| (e.last_touch, id))
+                    .map(|(&id, _)| id);
+                match victim {
+                    Some(id) => {
+                        c.entries.remove(&id);
+                        c.evictions += 1;
+                    }
+                    None => break,
+                }
+            }
+            c.high_water = c.high_water.max(c.soft_state_bytes());
+        }
+    }
+
+    const ORACLE_PEERS: u32 = 12;
+
+    fn sample_of(kind: u8) -> RateSample {
+        match kind {
+            0 => busy_sample(),
+            1 => quiet_sample(),
+            2 => RateSample {
+                churn_events: 3.0,
+                retry_pressure: 0.5,
+                ..busy_sample()
+            },
+            3 => RateSample {
+                flood_traffic: 0.0,
+                ace_traffic: 0.0,
+                ..quiet_sample()
+            },
+            _ => RateSample {
+                queries: f64::NAN,
+                overhead: 0.0,
+                ..busy_sample()
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Under a budget of a few entries the controller evicts on
+        /// almost every operation; after every one, its digest, stats,
+        /// schedules and intervals must equal the linear-scan oracle's,
+        /// and its age index must hold exactly its entries.
+        #[test]
+        fn age_index_eviction_matches_linear_scan(
+            (budget, idle) in (1usize..6, 1u64..6),
+            // (kind, peer, incarnation, period step, sample kind, ran)
+            ops in proptest::collection::vec(
+                (0u8..4, 0..ORACLE_PEERS, 0u32..2, 0u64..3, 0u8..5, any::<bool>()),
+                1..120,
+            ),
+        ) {
+            let cfg = AutoRateConfig {
+                byte_budget: budget * ENTRY_BYTES,
+                idle_evict: idle,
+                ..Default::default()
+            };
+            let mut fast = RateController::new(cfg);
+            let mut slow = LinearOracle(RateController::new(cfg));
+            let mut period = 0u64;
+            for (step, &(kind, peer, inc, advance, sample, ran)) in ops.iter().enumerate() {
+                period += advance;
+                let peer = p(peer);
+                match kind {
+                    0 => {
+                        let s = sample_of(sample);
+                        prop_assert_eq!(
+                            fast.observe(peer, inc, period, &s, ran).to_bits(),
+                            slow.observe(peer, inc, period, &s, ran).to_bits()
+                        );
+                    }
+                    1 => {
+                        fast.snap_to_floor(peer, inc, period);
+                        slow.snap_to_floor(peer, inc, period);
+                    }
+                    2 => {
+                        let ev = [
+                            LifecycleEvent::GracefulLeave,
+                            LifecycleEvent::Crash,
+                            LifecycleEvent::Rejoin,
+                        ][sample as usize % 3];
+                        fast.on_lifecycle(peer, ev);
+                        slow.on_lifecycle(peer);
+                    }
+                    _ => {
+                        fast.end_period(period);
+                        slow.end_period(period);
+                    }
+                }
+                prop_assert_eq!(fast.digest(), slow.0.digest(), "digest after op {}", step);
+                prop_assert_eq!(fast.stats(), slow.0.stats(), "stats after op {}", step);
+                for q in (0..ORACLE_PEERS).map(p) {
+                    prop_assert_eq!(fast.is_due(q, period), slow.0.is_due(q, period));
+                    prop_assert_eq!(
+                        fast.interval_of(q).map(f64::to_bits),
+                        slow.0.interval_of(q).map(f64::to_bits)
+                    );
+                }
+                let indexed: Vec<(u64, u32)> = fast.ages.iter().copied().collect();
+                let mut want: Vec<(u64, u32)> =
+                    fast.entries.iter().map(|(&id, e)| (e.last_touch, id)).collect();
+                want.sort_unstable();
+                prop_assert_eq!(indexed, want, "age index after op {}", step);
+            }
+        }
     }
 }

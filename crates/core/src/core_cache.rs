@@ -24,6 +24,11 @@
 //! One slot read resolves the common probe (key and value share the
 //! line), where the std map's control-byte group plus entry layout
 //! costs two.
+//!
+//! Lifecycle purges are deferred: [`CoreCache::purge_endpoint`] only
+//! marks the peer, and [`CoreCache::flush_purges`] later clears every
+//! marked endpoint in one pass over the table. Under churn a burst of
+//! departures and rejoins then costs one table pass, not one per event.
 
 use std::collections::VecDeque;
 use std::hash::Hasher;
@@ -162,6 +167,11 @@ pub struct CoreCache {
     inserts: u64,
     evictions: u64,
     purged: u64,
+    /// Bitset over raw peer ids marked by [`CoreCache::purge_endpoint`]
+    /// since the last flush.
+    pending: Vec<u64>,
+    /// Whether any bit of `pending` is set.
+    any_pending: bool,
 }
 
 impl Clone for CoreCache {
@@ -179,6 +189,8 @@ impl Clone for CoreCache {
             inserts: self.inserts,
             evictions: self.evictions,
             purged: self.purged,
+            pending: self.pending.clone(),
+            any_pending: self.any_pending,
         }
     }
 }
@@ -228,6 +240,8 @@ impl CoreCache {
             inserts: 0,
             evictions: 0,
             purged: 0,
+            pending: Vec::new(),
+            any_pending: false,
         }
     }
 
@@ -282,8 +296,10 @@ impl CoreCache {
     }
 
     /// Cached cost of the (unordered) pair, counting the hit or miss.
+    /// Pending purges must be flushed first.
     #[inline]
     pub fn get(&self, a: PeerId, b: PeerId) -> Option<Delay> {
+        debug_assert!(!self.has_pending(), "core cache read with unflushed purges");
         match self.find(pack(a, b)) {
             Some(i) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -316,8 +332,14 @@ impl CoreCache {
 
     /// Inserts the pair unless already present (first value wins, exactly
     /// like the old `entry(..).or_insert(..)`), then enforces the byte
-    /// budget by evicting oldest-inserted pairs.
+    /// budget by evicting oldest-inserted pairs. Pending purges must be
+    /// flushed first: a flush after this insert would drop a pair the
+    /// eager purge kept.
     pub fn insert_if_absent(&mut self, a: PeerId, b: PeerId, cost: Delay) {
+        debug_assert!(
+            !self.has_pending(),
+            "core cache insert with unflushed purges"
+        );
         let key = pack(a, b);
         // Keep load (live + tombstones) at or under 50%.
         if (self.live + self.tombs + 1) * 2 > self.slots.len() {
@@ -387,16 +409,55 @@ impl CoreCache {
         }
     }
 
-    /// Drops every pair with `peer` as an endpoint (lifecycle purge).
+    /// Marks `peer` for the next [`CoreCache::flush_purges`], which drops
+    /// every pair with it as an endpoint (lifecycle purge). Marking an
+    /// already-marked peer is a no-op, so a leave followed by a rejoin
+    /// before the flush purges once, exactly as two eager purges would:
+    /// the second found nothing left.
     pub fn purge_endpoint(&mut self, peer: PeerId) {
-        let raw = u64::from(peer.raw());
-        for i in 0..self.slots.len() {
-            let key = self.slots[i].key;
-            if key != EMPTY && key != TOMB && ((key >> 32) == raw || (key & 0xFFFF_FFFF) == raw) {
-                self.remove_at(i);
-                self.purged += 1;
+        let word = peer.index() / 64;
+        if word >= self.pending.len() {
+            self.pending.resize(word + 1, 0);
+        }
+        self.pending[word] |= 1 << (peer.index() % 64);
+        self.any_pending = true;
+    }
+
+    /// Whether purges are marked but not yet flushed.
+    #[inline]
+    pub fn has_pending(&self) -> bool {
+        self.any_pending
+    }
+
+    /// Drops every pair with a marked endpoint in one pass over the
+    /// table, then clears the marks. Tombstones exactly the slots the
+    /// eager per-peer purges would have, and counts them the same, so
+    /// no lookup or statistic can tell the two apart. No-op (one
+    /// branch) when nothing is marked.
+    pub fn flush_purges(&mut self) {
+        if !self.has_pending() {
+            return;
+        }
+        let pending = &self.pending;
+        let marked = |raw: u64| {
+            let i = raw as usize;
+            pending
+                .get(i / 64)
+                .is_some_and(|w| w & (1 << (i % 64)) != 0)
+        };
+        let mut dropped = 0;
+        for slot in &mut self.slots {
+            let key = slot.key;
+            if key != EMPTY && key != TOMB && (marked(key >> 32) || marked(key & 0xFFFF_FFFF)) {
+                slot.key = TOMB;
+                dropped += 1;
             }
         }
+        self.live -= dropped;
+        self.tombs += dropped;
+        self.purged += dropped as u64;
+        self.pending.fill(0);
+        self.any_pending = false;
     }
 
     /// Modeled byte footprint: live entries plus stale (not yet
@@ -405,8 +466,13 @@ impl CoreCache {
         self.live.max(self.fifo.len()) * ENTRY_BYTES
     }
 
-    /// Snapshot of the bookkeeping counters.
+    /// Snapshot of the bookkeeping counters. Pending purges must be
+    /// flushed first.
     pub fn stats(&self) -> CoreCacheStats {
+        debug_assert!(
+            !self.has_pending(),
+            "core cache stats with unflushed purges"
+        );
         CoreCacheStats {
             entries: self.live,
             bytes: self.bytes(),
@@ -423,6 +489,7 @@ impl CoreCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn p(i: u32) -> PeerId {
         PeerId::new(i)
@@ -461,6 +528,9 @@ mod tests {
         c.insert_if_absent(p(2), p(3), 6);
         c.insert_if_absent(p(4), p(5), 7);
         c.purge_endpoint(p(2));
+        assert!(c.has_pending());
+        c.flush_purges();
+        assert!(!c.has_pending());
         assert_eq!(c.stats().entries, 1);
         assert_eq!(c.stats().purged, 2);
         // Re-inserting a purged pair must not be evicted by its own stale
@@ -478,6 +548,8 @@ mod tests {
         for i in 0..99u32 {
             c.purge_endpoint(p(i));
         }
+        c.flush_purges();
+        assert_eq!(c.stats().purged, 99);
         // One more insert triggers enforce_budget's compaction check.
         c.insert_if_absent(p(500), p(501), 2);
         assert!(c.fifo.len() <= 2 * c.live + 16);
@@ -493,5 +565,90 @@ mod tests {
         let mut c = FxHasher::default();
         c.write_u64(0xDEAD_BEF0);
         assert_ne!(a.finish(), c.finish());
+    }
+
+    /// The eager per-peer purge the deferred flush replaced: one full
+    /// table scan per purged peer. Kept as the oracle for the flush.
+    fn purge_eager(c: &mut CoreCache, peer: PeerId) {
+        let raw = u64::from(peer.raw());
+        for i in 0..c.slots.len() {
+            let key = c.slots[i].key;
+            if key != EMPTY && key != TOMB && ((key >> 32) == raw || (key & 0xFFFF_FFFF) == raw) {
+                c.remove_at(i);
+                c.purged += 1;
+            }
+        }
+    }
+
+    /// Every slot's `(key, cost, seq)`, for layout-exact comparison.
+    fn layout(c: &CoreCache) -> Vec<(u64, Delay, u32)> {
+        c.slots.iter().map(|s| (s.key, s.cost, s.seq)).collect()
+    }
+
+    #[test]
+    fn leave_then_rejoin_before_a_flush_purges_once() {
+        let mut deferred = CoreCache::with_budget(0);
+        let mut eager = CoreCache::with_budget(0);
+        for c in [&mut deferred, &mut eager] {
+            c.insert_if_absent(p(1), p(2), 5);
+            c.insert_if_absent(p(2), p(70), 6);
+            c.insert_if_absent(p(3), p(4), 7);
+        }
+        // Leave, rejoin, and a peer that never had a cached pair.
+        for peer in [p(2), p(2), p(90)] {
+            deferred.purge_endpoint(peer);
+            purge_eager(&mut eager, peer);
+        }
+        deferred.flush_purges();
+        assert_eq!(deferred.stats(), eager.stats());
+        assert_eq!(deferred.stats().purged, 2);
+        assert_eq!(layout(&deferred), layout(&eager));
+        assert_eq!(deferred.get(p(4), p(3)), Some(7));
+        assert_eq!(deferred.get(p(70), p(2)), None);
+        // The marks are gone: a later flush drops nothing new.
+        deferred.insert_if_absent(p(2), p(70), 8);
+        deferred.flush_purges();
+        assert_eq!(deferred.get(p(2), p(70)), Some(8));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Random inserts, purges and lookups, with purges batched up
+        /// to each flush point (the engine flushes before every read,
+        /// insert or snapshot), must give the same lookups, stats and
+        /// slot layout as purging eagerly. Peer ids span several bitset
+        /// words; the small budgets make the FIFO evict as well.
+        #[test]
+        fn deferred_purge_matches_eager_scan(
+            budget_pairs in 0usize..12,
+            // (kind, a, b, cost): 0–1 insert, 2 purge a, 3 look up.
+            ops in proptest::collection::vec((0u8..4, 0u32..10, 0u32..10, 1u32..1000), 1..150),
+        ) {
+            let budget = if budget_pairs < 2 { 0 } else { budget_pairs * ENTRY_BYTES };
+            let mut deferred = CoreCache::with_budget(budget);
+            let mut eager = CoreCache::with_budget(budget);
+            for (step, &(kind, a, b, cost)) in ops.iter().enumerate() {
+                let a = p(a * 23);
+                let b = if a.raw() == b * 23 { p((b + 1) * 23) } else { p(b * 23) };
+                if kind == 2 {
+                    deferred.purge_endpoint(a);
+                    purge_eager(&mut eager, a);
+                    continue;
+                }
+                deferred.flush_purges();
+                if kind == 3 {
+                    prop_assert_eq!(deferred.get(a, b), eager.get(a, b), "lookup at op {}", step);
+                } else {
+                    deferred.insert_if_absent(a, b, cost);
+                    eager.insert_if_absent(a, b, cost);
+                }
+                prop_assert_eq!(deferred.stats(), eager.stats(), "stats at op {}", step);
+                prop_assert!(layout(&deferred) == layout(&eager), "layout at op {}", step);
+            }
+            deferred.flush_purges();
+            prop_assert_eq!(deferred.stats(), eager.stats());
+            prop_assert!(layout(&deferred) == layout(&eager));
+        }
     }
 }

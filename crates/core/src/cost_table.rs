@@ -60,17 +60,20 @@ impl CostTable {
         self.entries.is_empty()
     }
 
-    /// Sets (or updates) the probed cost to `neighbor`.
+    /// Sets (or updates) the probed cost to `neighbor`. Returns `true`
+    /// when the entry is new.
     ///
     /// # Panics
     ///
     /// Panics if `neighbor` equals the owner.
-    pub fn set(&mut self, neighbor: PeerId, cost: Delay) {
+    pub fn set(&mut self, neighbor: PeerId, cost: Delay) -> bool {
         assert_ne!(neighbor, self.owner, "a peer has no cost to itself");
         if let Some(e) = self.entries.iter_mut().find(|(p, _)| *p == neighbor) {
             e.1 = cost;
+            false
         } else {
             self.entries.push((neighbor, cost));
+            true
         }
     }
 
@@ -114,10 +117,10 @@ impl CostTable {
     }
 
     /// The exchange message's size in overhead units, computed
-    /// arithmetically from the wire layout (1 tag + 4 owner + 2 length
-    /// + 8 bytes per entry, in [`QUERY_BASE_SIZE`] units) — identical
-    /// to `to_message().size_units()` without cloning the entries into
-    /// a throwaway message. The hot path charges one table exchange per
+    /// arithmetically from the wire layout — a 1-byte tag, a 4-byte
+    /// owner, a 2-byte length and 8 bytes per entry, in
+    /// [`QUERY_BASE_SIZE`] units. Identical to `to_message().size_units()`
+    /// without cloning the entries into a throwaway message. The hot path charges one table exchange per
     /// closure member per planning peer per round, so the clone showed
     /// up at scale.
     ///

@@ -211,6 +211,17 @@ impl PeerState {
             tree_built: false,
         }
     }
+
+    /// Whether any of this state names `q`.
+    fn references(&self, q: PeerId) -> bool {
+        self.table.get(q).is_some()
+            || self.own_tree.contains(&q)
+            || self.requested.contains(&q)
+            || self
+                .watches
+                .iter()
+                .any(|&(far, near)| far == q || near == q)
+    }
 }
 
 /// Per-peer ACE state plus the shared overhead ledger.
@@ -247,6 +258,12 @@ pub struct AceEngine {
     /// the steady-state optimization overhead at the paper's level.
     /// Bounded by [`AceConfig::core_cache_budget`], oldest pair first.
     core_cache: CoreCache,
+    /// Reverse index for lifecycle purges: `holders[q]` lists a superset
+    /// of the peers whose state names `q` (cost table, own tree, forward
+    /// requests, watches). Every write of a peer id into a state appends
+    /// here, and a purge of `q` visits only `holders[q]` instead of
+    /// every peer. `note_holder` keeps the lists bounded.
+    holders: Vec<Vec<PeerId>>,
     /// Per-peer dirty-set plan cache ([`AceConfig::dirty_planning`]).
     plan_caches: Vec<PlanCache>,
     /// Reusable per-worker plan arenas, shared by the parallel pipeline
@@ -317,6 +334,7 @@ impl AceEngine {
             pending_queries: vec![0.0; peer_count],
             pending_traffic: None,
             core_cache,
+            holders: vec![Vec::new(); peer_count],
             plan_caches: vec![PlanCache::default(); peer_count],
             scratch: ScratchPool::new(),
             state_hashes: Vec::new(),
@@ -487,12 +505,6 @@ impl AceEngine {
         self.states[peer.index()].table.get(neighbor)
     }
 
-    /// Clears all ACE state of `peer` — equivalent to a graceful leave
-    /// ([`AceEngine::on_leave`]); kept as the historical entry point.
-    pub fn reset_peer(&mut self, peer: PeerId) {
-        self.on_leave(peer);
-    }
-
     /// Graceful leave: `peer`'s goodbye reaches every partner, so both
     /// its own state and every reference other peers hold to it (tree
     /// membership, forward requests, watches, cost rows, cached core
@@ -561,16 +573,61 @@ impl AceEngine {
         }
     }
 
-    /// Removes every reference other peers hold to `peer`, plus cached
-    /// core probes with `peer` as an endpoint.
+    /// Core-cache counters, after flushing the purges that lifecycle
+    /// events marked since the cache was last read.
+    fn core_cache_stats(&mut self) -> CoreCacheStats {
+        self.core_cache.flush_purges();
+        self.core_cache.stats()
+    }
+
+    /// Removes every reference other peers hold to `peer`, and marks the
+    /// cached core probes with `peer` as an endpoint for purging; the
+    /// marks are flushed in one table pass before the cache is next read
+    /// ([`CoreCache::flush_purges`]).
     fn purge_peer_refs(&mut self, peer: PeerId) {
-        for s in &mut self.states {
+        for h in std::mem::take(&mut self.holders[peer.index()]) {
+            let s = &mut self.states[h.index()];
             s.own_tree.retain(|&p| p != peer);
             s.requested.retain(|&p| p != peer);
             s.watches.retain(|&(far, near)| far != peer && near != peer);
             s.table.remove(peer);
         }
+        debug_assert!(
+            !self.states.iter().any(|s| s.references(peer)),
+            "holder index missed a reference to {peer}"
+        );
         self.core_cache.purge_endpoint(peer);
+    }
+
+    /// Records in `holders[q]` that `holder`'s state names `q`. A list
+    /// that reaches a power of two of at least 64 entries is compacted:
+    /// sorted, deduplicated and cut to the holders whose state still
+    /// names `q` (plus `holder`, whose write may still be pending). Each
+    /// list thus stays within about twice its live holder count, at
+    /// amortized O(1) per append.
+    fn note_holder(&mut self, q: PeerId, holder: PeerId) {
+        let list = &mut self.holders[q.index()];
+        list.push(holder);
+        if list.len() >= 64 && list.len().is_power_of_two() {
+            list.sort_unstable();
+            list.dedup();
+            list.retain(|&h| h == holder || self.states[h.index()].references(q));
+        }
+    }
+
+    /// Records `peer`'s measured cost to `n` in its cost table.
+    fn learn_cost(&mut self, peer: PeerId, n: PeerId, cost: Delay) {
+        if self.states[peer.index()].table.set(n, cost) {
+            self.note_holder(n, peer);
+        }
+    }
+
+    /// Figure 4(c) keep-both: `peer` watches `far` until `near` shows up
+    /// in `far`'s table (§3.3).
+    fn add_watch(&mut self, peer: PeerId, far: PeerId, near: PeerId) {
+        self.states[peer.index()].watches.push((far, near));
+        self.note_holder(far, peer);
+        self.note_holder(near, peer);
     }
 
     /// Resets `peer`'s own protocol state to the fresh-node default.
@@ -679,7 +736,7 @@ impl AceEngine {
                 )
             };
             match measured {
-                Some(m) => self.states[peer.index()].table.set(n, m),
+                Some(m) => self.learn_cost(peer, n, m),
                 None => self.states[peer.index()].table.remove(n),
             }
         }
@@ -753,6 +810,8 @@ impl AceEngine {
     /// Panics if `peer` is offline.
     pub fn build_tree(&mut self, ov: &Overlay, oracle: &dyn DistancePlane, peer: PeerId) {
         assert!(ov.is_alive(peer), "cannot optimize an offline peer");
+        // The serial round's mid-sweep faults mark purges between trees.
+        self.core_cache.flush_purges();
         let mut scratch = self.scratch.take().unwrap_or_default();
         scratch.collect_closure(ov, peer, self.cfg.depth);
         let mut ledger = self.ledger;
@@ -852,9 +911,11 @@ impl AceEngine {
     ) {
         let mut old_tree = std::mem::take(&mut self.states[peer.index()].own_tree);
         for &f in new_tree.iter().filter(|f| !old_tree.contains(f)) {
+            self.note_holder(f, peer);
             let req = &mut self.states[f.index()].requested;
             if !req.contains(&peer) {
                 req.push(peer);
+                self.note_holder(peer, f);
             }
             let cost = ov.link_cost(oracle, peer, f);
             self.ledger.charge(
@@ -996,7 +1057,7 @@ impl AceEngine {
             Figure4Action::Replace => match self.replace_link(ov, oracle, peer, far, near) {
                 Ok(()) => {
                     self.note_link_down(peer, far);
-                    self.states[peer.index()].table.set(near, near_cost);
+                    self.learn_cost(peer, near, near_cost);
                     AdaptOutcome::Replaced { far, near }
                 }
                 Err(_) => AdaptOutcome::KeptAll,
@@ -1004,9 +1065,8 @@ impl AceEngine {
             Figure4Action::Add => match ov.connect(peer, near) {
                 Ok(()) => {
                     self.charge_connect(ov, oracle, peer, near);
-                    let st = &mut self.states[peer.index()];
-                    st.table.set(near, near_cost);
-                    st.watches.push((far, near));
+                    self.learn_cost(peer, near, near_cost);
+                    self.add_watch(peer, far, near);
                     AdaptOutcome::Added { near }
                 }
                 Err(_) => AdaptOutcome::KeptAll,
@@ -1087,6 +1147,9 @@ impl AceEngine {
         oracle: &dyn DistancePlane,
         rng: &mut R,
     ) -> RoundStats {
+        // Lifecycle calls since the last round only marked their core
+        // cache purges; clear them before anything reads the cache.
+        self.core_cache.flush_purges();
         if self.cfg.parallel {
             let round_seed: u64 = rng.gen();
             return self.round_planned(ov, oracle, round_seed);
@@ -1127,7 +1190,7 @@ impl AceEngine {
             stats.trees_built += 1;
         }
         stats.overhead = self.ledger.since(&before);
-        stats.core_cache = self.core_cache.stats();
+        stats.core_cache = self.core_cache_stats();
         self.feed_controller(ov, &stats, &ran);
         self.rounds_run += 1;
         debug_assert!(ov.check_invariants().is_ok());
@@ -1151,7 +1214,7 @@ impl AceEngine {
             stats.trees_built += 1;
         }
         stats.overhead = self.ledger.since(&before);
-        stats.core_cache = self.core_cache.stats();
+        stats.core_cache = self.core_cache_stats();
         self.rounds_run += 1;
         stats
     }
@@ -1328,15 +1391,15 @@ impl AceEngine {
         let digest = self.plan_digest(ov, peer, hashes, scratch);
         let cache = &self.plan_caches[peer.index()];
         if self.cfg.dirty_planning && cache.valid && cache.probe_free && cache.digest == digest {
-            let known =
-                want_snap.then(|| KnownSnap::capture(scratch, |w| self.states[w.index()].table.clone()));
+            let known = want_snap
+                .then(|| KnownSnap::capture(scratch, |w| self.states[w.index()].table.clone()));
             return TreeOutcome::Replayed { peer, known };
         }
 
         let mut ledger = OverheadLedger::new();
         self.charge_closure_exchange(ov, oracle, scratch, &mut ledger);
-        let known =
-            want_snap.then(|| KnownSnap::capture(scratch, |w| self.states[w.index()].table.clone()));
+        let known = want_snap
+            .then(|| KnownSnap::capture(scratch, |w| self.states[w.index()].table.clone()));
 
         scratch.collect_internal_edges(ov, |a, b| {
             self.states[a.index()]
@@ -1652,7 +1715,7 @@ impl AceEngine {
                         && ov.are_neighbors(far, near);
                     if valid && self.replace_link(ov, oracle, peer, far, near).is_ok() {
                         self.note_link_down(peer, far);
-                        self.states[peer.index()].table.set(near, near_cost);
+                        self.learn_cost(peer, near, near_cost);
                         stats.replaced += 1;
                     }
                 }
@@ -1664,9 +1727,8 @@ impl AceEngine {
                     let valid = ov.is_alive(near) && !ov.are_neighbors(peer, near);
                     if valid && ov.connect(peer, near).is_ok() {
                         self.charge_connect(ov, oracle, peer, near);
-                        let st = &mut self.states[peer.index()];
-                        st.table.set(near, near_cost);
-                        st.watches.push((far, near));
+                        self.learn_cost(peer, near, near_cost);
+                        self.add_watch(peer, far, near);
                         stats.added += 1;
                     }
                 }
@@ -1747,8 +1809,7 @@ impl AceEngine {
                     } else {
                         KnownView::Live(this, ov_ref, peer)
                     };
-                    let mut rng =
-                        StdRng::seed_from_u64(Self::peer_stream_seed(round_seed, peer));
+                    let mut rng = StdRng::seed_from_u64(Self::peer_stream_seed(round_seed, peer));
                     this.plan_adapt(ov_ref, oracle, peer, &known, scratch, &mut rng)
                 },
             )
@@ -1757,7 +1818,7 @@ impl AceEngine {
         self.commit_adaptations(ov, oracle, adapt_plans, &mut stats);
 
         stats.overhead = self.ledger.since(&before);
-        stats.core_cache = self.core_cache.stats();
+        stats.core_cache = self.core_cache_stats();
         self.feed_controller(ov, &stats, &ran);
         self.rounds_run += 1;
         debug_assert!(ov.check_invariants().is_ok());
@@ -2155,8 +2216,9 @@ enum KnownView<'a> {
 impl KnownView<'_> {
     fn get(&self, w: PeerId) -> Option<&CostTable> {
         match self {
-            KnownView::Live(eng, ov, peer) => (w == *peer || ov.are_neighbors(*peer, w))
-                .then(|| &eng.states[w.index()].table),
+            KnownView::Live(eng, ov, peer) => {
+                (w == *peer || ov.are_neighbors(*peer, w)).then(|| &eng.states[w.index()].table)
+            }
             KnownView::Snap(snap) => snap.get(w),
         }
     }
@@ -2285,12 +2347,61 @@ mod tests {
     }
 
     #[test]
-    fn reset_peer_clears_state() {
+    fn holder_lists_stay_bounded_and_keep_live_holders() {
         let (mut ov, oracle) = mismatch_env();
         let mut ace = AceEngine::new(4, AceConfig::paper_default());
         let mut rng = StdRng::seed_from_u64(1);
         ace.round(&mut ov, &oracle, &mut rng);
-        ace.reset_peer(PeerId::new(0));
+        let q = PeerId::new(3);
+        let live: Vec<PeerId> = ov
+            .peers()
+            .filter(|h| ace.states[h.index()].references(q))
+            .collect();
+        assert!(!live.is_empty(), "peer 3 is everyone's neighbor");
+        // `q` names nothing of its own, so it is a stale holder: every
+        // append of it is noise the compaction must shed.
+        for _ in 0..1000 {
+            ace.note_holder(q, q);
+        }
+        let list = &ace.holders[q.index()];
+        assert!(list.len() < 128, "list grew to {}", list.len());
+        for h in &live {
+            assert!(list.contains(h), "compaction dropped live holder {h}");
+        }
+        ace.on_leave(q);
+        assert!(ace.holders[q.index()].is_empty());
+        assert!(!ace.states.iter().any(|s| s.references(q)));
+    }
+
+    #[test]
+    fn leave_purges_requests_of_partners_that_never_probed() {
+        // Only peer 0 has probed, so its tree partners hold a forward
+        // request naming it but no cost-table row: the request alone
+        // must put them on peer 0's holder list.
+        let (ov, oracle) = mismatch_env();
+        let mut ace = AceEngine::new(4, tiny_cfg());
+        let p0 = PeerId::new(0);
+        ace.phase1_probe(&ov, &oracle, p0);
+        ace.build_tree(&ov, &oracle, p0);
+        let partners: Vec<PeerId> = ov
+            .peers()
+            .filter(|f| ace.states[f.index()].requested.contains(&p0))
+            .collect();
+        assert!(!partners.is_empty());
+        assert!(partners
+            .iter()
+            .all(|f| ace.states[f.index()].table.get(p0).is_none()));
+        ace.on_leave(p0);
+        assert!(!ace.states.iter().any(|s| s.references(p0)));
+    }
+
+    #[test]
+    fn leave_clears_state() {
+        let (mut ov, oracle) = mismatch_env();
+        let mut ace = AceEngine::new(4, AceConfig::paper_default());
+        let mut rng = StdRng::seed_from_u64(1);
+        ace.round(&mut ov, &oracle, &mut rng);
+        ace.on_leave(PeerId::new(0));
         assert!(!ace.tree_built(PeerId::new(0)));
         let mut fl = vec![PeerId::new(9)];
         ace.flooding_neighbors_into(PeerId::new(0), &mut fl);

@@ -146,7 +146,11 @@ impl PlanScratch {
     /// enumerates them: members in discovery order, each member's
     /// neighbor list in order, keeping `a < b` pairs with both ends in
     /// the closure.
-    pub fn collect_internal_edges(&mut self, ov: &Overlay, mut cost_of: impl FnMut(PeerId, PeerId) -> Option<Delay>) {
+    pub fn collect_internal_edges(
+        &mut self,
+        ov: &Overlay,
+        mut cost_of: impl FnMut(PeerId, PeerId) -> Option<Delay>,
+    ) {
         self.edges.clear();
         for ai in 0..self.members.len() {
             let a = self.members[ai];
@@ -257,9 +261,11 @@ mod tests {
                     path.extend(scratch.relay_hops(i as u32).map(|(_, to)| to));
                     assert_eq!(path, reference.relay_path(m).unwrap());
                 }
-                assert!(!scratch.contains(p((s + 12) % 24)) || depth > 1 || {
-                    ov.are_neighbors(p(s), p((s + 12) % 24))
-                });
+                assert!(
+                    !scratch.contains(p((s + 12) % 24)) || depth > 1 || {
+                        ov.are_neighbors(p(s), p((s + 12) % 24))
+                    }
+                );
             }
         }
     }
@@ -274,12 +280,7 @@ mod tests {
         let got: Vec<(PeerId, PeerId)> = scratch
             .edges
             .iter()
-            .map(|e| {
-                (
-                    scratch.members[e.a as usize],
-                    scratch.members[e.b as usize],
-                )
-            })
+            .map(|e| (scratch.members[e.a as usize], scratch.members[e.b as usize]))
             .collect();
         assert_eq!(got, reference.internal_edges(&ov));
     }
