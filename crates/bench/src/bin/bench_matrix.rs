@@ -13,8 +13,11 @@
 //!   artifact, if any cell's recall fell below its strategy floor, or
 //!   if ACE stopped being a traffic reduction in any (off, on) pair.
 //!   Digests are parameter-derived, so the slice reproduces the
-//!   committed cells exactly regardless of which other cells ran.
+//!   committed cells exactly regardless of which other cells ran. A
+//!   baseline that is missing or malformed exits 2 before the matrix
+//!   runs.
 
+use ace_bench::gate::{self, EXIT_REGRESSION};
 use ace_bench::matrix::{
     committed_cells, recall_floor, run_matrix, slice_cells, CellResult, MatrixBench, MatrixWorld,
     WorldConfig, MATRIX_ROUNDS,
@@ -29,6 +32,10 @@ fn main() {
             .and_then(|i| args.get(i + 1).cloned())
     };
 
+    let baseline: Option<MatrixBench> = flag_value("--check")
+        .map(|path| gate::load_baseline(&path))
+        .transpose()
+        .unwrap_or_else(|e| e.exit("bench_matrix"));
     let cfg = WorldConfig::committed();
     let cells = if has("--slice") {
         slice_cells()
@@ -51,8 +58,8 @@ fn main() {
     };
     print_table(&bench);
 
-    if let Some(baseline_path) = flag_value("--check") {
-        check_against(&bench, &baseline_path);
+    if let Some(baseline) = &baseline {
+        check_against(&bench, baseline);
     }
     if has("--json") {
         println!("{}", serde_json::to_string(&bench).expect("serialize"));
@@ -94,12 +101,7 @@ fn print_table(bench: &MatrixBench) {
     }
 }
 
-fn check_against(bench: &MatrixBench, baseline_path: &str) {
-    let baseline: MatrixBench = serde_json::from_str(
-        &std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| panic!("read {baseline_path}: {e}")),
-    )
-    .expect("parse committed matrix");
+fn check_against(bench: &MatrixBench, baseline: &MatrixBench) {
     let mut failures = Vec::new();
 
     let key = |c: &CellResult| {
@@ -147,13 +149,13 @@ fn check_against(bench: &MatrixBench, baseline_path: &str) {
 
     if failures.is_empty() {
         eprintln!(
-            "[bench_matrix: check OK — {} cells match {baseline_path}, every floor and ACE pair holds]",
+            "[bench_matrix: check OK — {} cells match the baseline, every floor and ACE pair holds]",
             bench.cells.len()
         );
     } else {
         for f in &failures {
             eprintln!("[bench_matrix: CHECK FAILED — {f}]");
         }
-        std::process::exit(1);
+        std::process::exit(EXIT_REGRESSION);
     }
 }

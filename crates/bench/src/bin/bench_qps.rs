@@ -14,8 +14,11 @@
 //!   fail (exit 1) if the serving digests drifted from the committed
 //!   baseline, if the measured ACE/flood throughput ratio fell below
 //!   both parity and [`REGRESSION_TOLERANCE`] under the baseline's
-//!   ratio, or if the traffic ratio stopped being a reduction.
+//!   ratio, or if the traffic ratio stopped being a reduction. A bad
+//!   `--point` value, or a baseline that is missing, malformed or lacks
+//!   the point, exits 2 before anything is measured.
 
+use ace_bench::gate::{self, GateError, EXIT_REGRESSION};
 use ace_bench::qps::{self, QpsBench, QpsPoint, QPS_POINTS, QPS_ROUNDS};
 use ace_overlay::ServeConfig;
 
@@ -28,6 +31,8 @@ use ace_overlay::ServeConfig;
 /// flooding).
 const REGRESSION_TOLERANCE: f64 = 0.35;
 
+const BIN: &str = "bench_qps";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flag_value = |name: &str| {
@@ -37,10 +42,14 @@ fn main() {
     };
 
     if let Some(peers) = flag_value("--point") {
-        let peers: usize = peers.parse().expect("--point takes a peer count");
+        let peers: usize = gate::parse_flag("--point", &peers).unwrap_or_else(|e| e.exit(BIN));
+        let base = flag_value("--check")
+            .map(|path| baseline_point(&path, peers))
+            .transpose()
+            .unwrap_or_else(|e| e.exit(BIN));
         let point = run_one(peers);
-        if let Some(baseline_path) = flag_value("--check") {
-            check_regression(&point, &baseline_path);
+        if let Some(base) = &base {
+            check_regression(&point, base);
         }
         if args.iter().any(|a| a == "--json") {
             println!(
@@ -107,13 +116,14 @@ fn run_one(peers: usize) -> QpsPoint {
     point
 }
 
-fn check_regression(point: &QpsPoint, baseline_path: &str) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline: QpsBench = serde_json::from_str(&text).expect("parse baseline JSON");
-    let base = baseline
-        .point(point.peers)
-        .unwrap_or_else(|| panic!("baseline has no {}-peer point", point.peers));
+/// The committed point `point` is checked against, loaded before the
+/// measurement so a bad baseline fails fast.
+fn baseline_point(path: &str, peers: usize) -> Result<QpsPoint, GateError> {
+    let baseline: QpsBench = gate::load_baseline(path)?;
+    gate::require(baseline.point(peers), path, &format!("{peers}-peer point")).cloned()
+}
+
+fn check_regression(point: &QpsPoint, base: &QpsPoint) {
     // The simulated quantities are deterministic: any digest drift means
     // the serving semantics changed, not that the runner was slow.
     if point.flood.digest != base.flood.digest || point.ace.digest != base.ace.digest {
@@ -122,7 +132,7 @@ fn check_regression(point: &QpsPoint, baseline_path: &str) {
              (flood {} vs {}, ace {} vs {})]",
             point.flood.digest, base.flood.digest, point.ace.digest, base.ace.digest
         );
-        std::process::exit(1);
+        std::process::exit(EXIT_REGRESSION);
     }
     let floor = (base.qps_ratio * (1.0 - REGRESSION_TOLERANCE)).max(1.0);
     eprintln!(
@@ -135,7 +145,7 @@ fn check_regression(point: &QpsPoint, baseline_path: &str) {
              max(parity, baseline - {:.0}%)]",
             REGRESSION_TOLERANCE * 100.0
         );
-        std::process::exit(1);
+        std::process::exit(EXIT_REGRESSION);
     }
     if point.traffic_ratio >= 1.0 {
         eprintln!(
@@ -143,7 +153,7 @@ fn check_regression(point: &QpsPoint, baseline_path: &str) {
              (ratio {:.3})]",
             point.traffic_ratio
         );
-        std::process::exit(1);
+        std::process::exit(EXIT_REGRESSION);
     }
     eprintln!("[bench_qps: within tolerance]");
 }

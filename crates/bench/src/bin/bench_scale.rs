@@ -14,13 +14,18 @@
 //!   [`REGRESSION_TOLERANCE`] over the committed baseline's same point,
 //!   **or** if its engine state digest drifted from the baseline's —
 //!   rounds are seeded and worker-count invariant, so any drift is a
-//!   behavior change, not noise.
+//!   behavior change, not noise. A bad `--point`/`--workers` value, or a
+//!   baseline that is missing, malformed or lacks the point, exits 2
+//!   before anything is measured.
 
+use ace_bench::gate::{self, GateError, EXIT_REGRESSION};
 use ace_bench::scale::{self, ScaleBench, ScalePoint, SCALE_POINTS};
 
 /// Allowed wall-time growth over the committed baseline before the CI
 /// smoke job fails (shared runners are noisy; 20% is the contract).
 const REGRESSION_TOLERANCE: f64 = 0.20;
+
+const BIN: &str = "bench_scale";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,17 +36,22 @@ fn main() {
     };
 
     if let Some(peers) = flag_value("--point") {
-        let peers: usize = peers.parse().expect("--point takes a peer count");
+        let peers: usize = gate::parse_flag("--point", &peers).unwrap_or_else(|e| e.exit(BIN));
         let workers: usize = flag_value("--workers")
-            .map(|w| w.parse().expect("--workers takes a thread count"))
+            .map(|w| gate::parse_flag("--workers", &w))
+            .transpose()
+            .unwrap_or_else(|e| e.exit(BIN))
             .unwrap_or(0);
-        let check = flag_value("--check");
+        let base = flag_value("--check")
+            .map(|path| baseline_point(&path, peers))
+            .transpose()
+            .unwrap_or_else(|e| e.exit(BIN));
         // CI smoke stays lean: no worker sweep under --check (the
         // sweep's digest-invariance claim is covered by the drift gate
         // plus the dirty-planning differential suite).
-        let point = run_one(peers, workers, check.is_none());
-        if let Some(baseline_path) = check {
-            check_regression(&point, &baseline_path);
+        let point = run_one(peers, workers, base.is_none());
+        if let Some(base) = &base {
+            check_regression(&point, base);
         }
         if args.iter().any(|a| a == "--json") {
             println!(
@@ -126,13 +136,14 @@ fn run_one(peers: usize, workers: usize, sweep: bool) -> ScalePoint {
     point
 }
 
-fn check_regression(point: &ScalePoint, baseline_path: &str) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline: ScaleBench = serde_json::from_str(&text).expect("parse baseline JSON");
-    let base = baseline
-        .point(point.peers)
-        .unwrap_or_else(|| panic!("baseline has no {}-peer point", point.peers));
+/// The committed point `point` is checked against, loaded before the
+/// measurement so a bad baseline fails fast.
+fn baseline_point(path: &str, peers: usize) -> Result<ScalePoint, GateError> {
+    let baseline: ScaleBench = gate::load_baseline(path)?;
+    gate::require(baseline.point(peers), path, &format!("{peers}-peer point")).cloned()
+}
+
+fn check_regression(point: &ScalePoint, base: &ScalePoint) {
     // Compare like with like: a --workers run measures against the
     // baseline's matching sweep leg when one exists.
     let base_mean = base
@@ -150,7 +161,7 @@ fn check_regression(point: &ScalePoint, baseline_path: &str) {
             "[bench_scale: REGRESSION — round wall time grew more than {:.0}%]",
             REGRESSION_TOLERANCE * 100.0
         );
-        std::process::exit(1);
+        std::process::exit(EXIT_REGRESSION);
     }
     // Digest drift: the rounds are fully seeded and worker-count
     // invariant, so the measured digest must equal the committed one
@@ -161,7 +172,7 @@ fn check_regression(point: &ScalePoint, baseline_path: &str) {
              round behavior changed]",
             point.state_digest, base.state_digest
         );
-        std::process::exit(1);
+        std::process::exit(EXIT_REGRESSION);
     }
     eprintln!("[bench_scale: within tolerance]");
 }

@@ -18,9 +18,14 @@
 //!   than [`FINAL_RETENTION_FLOOR`] of it at end-of-soak), if it
 //!   spends *more* control overhead than the static arm, if the
 //!   controller leaked entries or breached its byte budget, or if
-//!   either arm's post-settle invariant audit failed.
+//!   either arm's post-settle invariant audit failed. A baseline that is
+//!   missing, malformed or lacks the slice severity exits 2 before the
+//!   soak runs.
 
+use ace_bench::gate::{self, GateError, EXIT_REGRESSION};
 use ace_bench::soak::{self, SeverityReport, SoakBench, SoakParams};
+
+const BIN: &str = "bench_soak";
 
 /// Minimum `adaptive.reduction_mean / static.reduction_mean` the
 /// churn+chaos severity must retain over the *whole* soak (convergence
@@ -47,14 +52,18 @@ fn main() {
     let params = SoakParams::committed();
     if has("--slice") {
         let sev = soak::severity_named(soak::SLICE_SEVERITY).expect("slice severity on the grid");
+        let base = flag_value("--check")
+            .map(|path| baseline_severity(&path, sev.name))
+            .transpose()
+            .unwrap_or_else(|e| e.exit(BIN));
         eprintln!(
             "[bench_soak: slice — severity {:?}, {} peers, {} simulated seconds per arm]",
             sev.name, params.peers, params.sim_secs
         );
         let report = soak::run_severity(&params, &sev);
         print_severity(&report);
-        if let Some(baseline_path) = flag_value("--check") {
-            check_against(&report, &baseline_path);
+        if let Some(base) = &base {
+            check_against(&report, base);
         }
         if has("--json") {
             println!(
@@ -114,13 +123,14 @@ fn print_severity(r: &SeverityReport) {
     arm(&r.adaptive_arm, "adaptive");
 }
 
-fn check_against(report: &SeverityReport, baseline_path: &str) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline: SoakBench = serde_json::from_str(&text).expect("parse baseline JSON");
-    let base = baseline
-        .severity(&report.name)
-        .unwrap_or_else(|| panic!("baseline has no severity {:?}", report.name));
+/// The committed severity the slice is checked against, loaded before
+/// the soak so a bad baseline fails fast.
+fn baseline_severity(path: &str, name: &str) -> Result<SeverityReport, GateError> {
+    let baseline: SoakBench = gate::load_baseline(path)?;
+    gate::require(baseline.severity(name), path, &format!("severity {name:?}")).cloned()
+}
+
+fn check_against(report: &SeverityReport, base: &SeverityReport) {
     let mut failed = false;
     let mut fail = |msg: String| {
         eprintln!("[bench_soak: REGRESSION — {msg}]");
@@ -185,10 +195,10 @@ fn check_against(report: &SeverityReport, baseline_path: &str) {
         }
     }
     if failed {
-        std::process::exit(1);
+        std::process::exit(EXIT_REGRESSION);
     }
     eprintln!(
-        "[bench_soak: check OK — severity {:?} matches {baseline_path} and every gate holds]",
+        "[bench_soak: check OK — severity {:?} matches the baseline and every gate holds]",
         report.name
     );
 }

@@ -12,6 +12,7 @@
 //! * `FULL=1` — the paper's 20,000-node physical topology.
 
 pub mod figures;
+pub mod gate;
 pub mod matrix;
 pub mod qps;
 pub mod scale;

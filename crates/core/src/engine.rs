@@ -465,25 +465,12 @@ impl AceEngine {
         self.states[peer.index()].tree_built
     }
 
-    /// `peer`'s flooding neighbors: its own tree neighbors plus peers that
-    /// requested forwarding because their trees attach through `peer`.
-    /// May contain stale entries after topology changes; forwarding
-    /// filters against current neighbors.
-    ///
-    /// Hidden: allocates a fresh `Vec` per call. Use
-    /// [`AceEngine::flooding_neighbors_into`] with a reused buffer on any
-    /// path that runs per peer or per query.
-    #[doc(hidden)]
-    pub fn flooding_neighbors(&self, peer: PeerId) -> Vec<PeerId> {
-        let mut out = Vec::new();
-        self.flooding_neighbors_into(peer, &mut out);
-        out
-    }
-
-    /// Like [`AceEngine::flooding_neighbors`], but writes into a caller
-    /// buffer (cleared first) instead of allocating. Forwarding calls this
-    /// once per visited peer per query, so the reuse matters on the query
-    /// hot path.
+    /// Writes `peer`'s flooding neighbors into `out` (cleared first): its
+    /// own tree neighbors plus peers that requested forwarding because
+    /// their trees attach through `peer`, each once. May contain stale
+    /// entries after topology changes; forwarding filters against current
+    /// neighbors. Forwarding calls this once per visited peer per query,
+    /// so the caller's buffer is reused on the query hot path.
     pub fn flooding_neighbors_into(&self, peer: PeerId, out: &mut Vec<PeerId>) {
         out.clear();
         let s = &self.states[peer.index()];
@@ -2327,22 +2314,50 @@ mod tests {
         assert!(crossings <= 2, "crossings left: {crossings}");
     }
 
+    /// The [`ace_overlay::ForwardPolicy`] contract the serving engine's
+    /// per-batch link-cost table relies on: every forward target is a
+    /// current neighbor, for every alive peer and every arrival link —
+    /// after quiet rounds and after rounds with crashes, leaves and
+    /// rejoins. Flooding-neighbor lists hold each peer once, and a stale
+    /// caller buffer never leaks into either output.
     #[test]
     fn flooding_neighbors_are_current_neighbors() {
-        let (mut ov, oracle) = mismatch_env();
-        let mut ace = AceEngine::new(4, AceConfig::paper_default());
-        let mut rng = StdRng::seed_from_u64(7);
-        ace.round(&mut ov, &oracle, &mut rng);
-        let mut fl = Vec::new();
-        for p in ov.alive_peers() {
-            assert!(ace.tree_built(p));
-            ace.flooding_neighbors_into(p, &mut fl);
-            for f in &fl {
-                // Tree neighbors were real neighbors when the tree was built;
-                // a later phase-3 cut can invalidate them, which forwarding
-                // tolerates — but right after a round most should be live.
-                let _ = f;
+        for (seed, faults) in [(7, None), (13, Some(faulty(13)))] {
+            let (mut ov, oracle, mut rng) = ba_env(seed);
+            let cfg = AceConfig {
+                faults,
+                ..AceConfig::paper_default()
+            };
+            let mut ace = AceEngine::new(ov.peer_count(), cfg);
+            let (mut fresh, mut targets) = (Vec::new(), Vec::new());
+            let mut departures = 0;
+            for _ in 0..6 {
+                let stats = ace.round(&mut ov, &oracle, &mut rng);
+                departures += stats.crashed + stats.left;
+                for p in ov.alive_peers() {
+                    let stale = PeerId::new(ov.peer_count() as u32 + 1);
+                    let mut fl = vec![stale, stale];
+                    ace.flooding_neighbors_into(p, &mut fl);
+                    ace.flooding_neighbors_into(p, &mut fresh);
+                    assert_eq!(fl, fresh, "stale buffer content leaked for {p}");
+                    for (i, f) in fl.iter().enumerate() {
+                        assert!(!fl[..i].contains(f), "{p} lists {f} twice");
+                    }
+                    let froms =
+                        std::iter::once(None).chain(ov.neighbors(p).iter().copied().map(Some));
+                    for from in froms {
+                        targets.push(stale);
+                        ace.forward_targets_into(&ov, p, from, &mut targets);
+                        for &t in &targets {
+                            assert!(
+                                ov.neighbors(p).contains(&t),
+                                "{p} (from {from:?}) forwards to non-neighbor {t}"
+                            );
+                        }
+                    }
+                }
             }
+            assert_eq!(faults.is_some(), departures > 0, "seed {seed}");
         }
     }
 
@@ -2535,19 +2550,6 @@ mod tests {
         }
         let after = total_link_cost(&ov, &oracle);
         assert!(after < before, "total cost {before} -> {after}");
-    }
-
-    #[test]
-    fn flooding_neighbors_into_matches_allocating_variant() {
-        let (mut ov, oracle) = mismatch_env();
-        let mut ace = AceEngine::new(4, AceConfig::paper_default());
-        let mut rng = StdRng::seed_from_u64(6);
-        ace.round(&mut ov, &oracle, &mut rng);
-        let mut buf = vec![PeerId::new(99)]; // stale content must be cleared
-        for p in ov.alive_peers() {
-            ace.flooding_neighbors_into(p, &mut buf);
-            assert_eq!(buf, ace.flooding_neighbors(p));
-        }
     }
 
     #[test]

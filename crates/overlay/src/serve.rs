@@ -38,7 +38,7 @@ use rand::Rng;
 
 use ace_engine::pool::{effective_workers, plan_parallel};
 use ace_engine::SimTime;
-use ace_topology::DistancePlane;
+use ace_topology::{Delay, DistancePlane};
 
 use crate::content::{Catalog, ObjectId};
 use crate::network::Overlay;
@@ -98,6 +98,60 @@ impl Default for ServeConfig {
             query: QueryConfig::default(),
             workers: 0,
             chunk: 256,
+        }
+    }
+}
+
+/// The plane's answer for every directed overlay link, resolved once per
+/// batch. `costs[offsets[p] + k]` is the cost of `p`'s link to
+/// `overlay.neighbors(p)[k]`: a CSR table parallel to the neighbor
+/// lists. The overlay cannot change while a batch is served and the
+/// plane is a pure function of the host pair, so one lookup per link
+/// answers every message the batch sends over it.
+struct LinkCosts<'a> {
+    overlay: &'a Overlay,
+    plane: &'a dyn DistancePlane,
+    /// `peer_count + 1` entries; peer `p`'s costs are
+    /// `costs[offsets[p]..offsets[p + 1]]`.
+    offsets: Vec<usize>,
+    costs: Vec<Delay>,
+}
+
+impl<'a> LinkCosts<'a> {
+    fn build(overlay: &'a Overlay, plane: &'a dyn DistancePlane) -> Self {
+        let mut offsets = Vec::with_capacity(overlay.peer_count() + 1);
+        let mut costs = Vec::with_capacity(2 * overlay.edge_count());
+        offsets.push(0);
+        for p in overlay.peers() {
+            costs.extend(
+                overlay
+                    .neighbors(p)
+                    .iter()
+                    .map(|&q| overlay.link_cost(plane, p, q)),
+            );
+            offsets.push(costs.len());
+        }
+        LinkCosts {
+            overlay,
+            plane,
+            offsets,
+            costs,
+        }
+    }
+
+    /// Cost of one message from `peer` to `target`. A target outside
+    /// `peer`'s neighbor list breaks the [`ForwardPolicy`] contract; it
+    /// is still priced, through the plane, exactly as the sequential path
+    /// prices it.
+    fn cost(&self, peer: PeerId, target: PeerId) -> Delay {
+        match self
+            .overlay
+            .neighbors(peer)
+            .iter()
+            .position(|&n| n == target)
+        {
+            Some(k) => self.costs[self.offsets[peer.index()] + k],
+            None => self.overlay.link_cost(self.plane, peer, target),
         }
     }
 }
@@ -425,7 +479,9 @@ struct ShardOut {
 /// Semantics per slot are exactly those of [`run_query_into`] — same
 /// event ordering, same measurements — proven by the digest equivalence
 /// with [`serve_sequential`]. Slots whose source is dead are skipped and
-/// counted, never panicked on.
+/// counted, never panicked on. The plane is asked once per directed
+/// overlay link (see `LinkCosts`), not once per message; that lookup is
+/// part of the timed sweep.
 ///
 /// # Panics
 ///
@@ -448,10 +504,11 @@ where
     let workers = effective_workers(cfg.workers);
 
     let start = Instant::now();
+    let links = LinkCosts::build(overlay, plane);
     let mut shard_outs = plan_parallel(shards, workers, |s| {
         let lo = s * cfg.chunk;
         let hi = (lo + cfg.chunk).min(specs.len());
-        run_shard(overlay, plane, policy, &specs[lo..hi], is_responder, cfg)
+        run_shard(&links, policy, &specs[lo..hi], is_responder, cfg)
     });
     let elapsed = start.elapsed();
 
@@ -509,8 +566,7 @@ where
 
 /// Runs one shard of slots on the calling worker thread.
 fn run_shard<P, R>(
-    overlay: &Overlay,
-    plane: &dyn DistancePlane,
+    links: &LinkCosts<'_>,
     policy: &P,
     specs: &[QuerySpec],
     is_responder: &R,
@@ -520,6 +576,7 @@ where
     P: ForwardPolicy + Sync + ?Sized,
     R: Fn(ObjectId, PeerId) -> bool + Sync,
 {
+    let overlay = links.overlay;
     let peers = overlay.peer_count();
     let mut scratch = SlotScratch::new(peers);
     let mut out = ShardOut {
@@ -534,8 +591,7 @@ where
             continue;
         }
         run_slot(
-            overlay,
-            plane,
+            links,
             policy,
             spec,
             is_responder,
@@ -549,10 +605,8 @@ where
 
 /// Propagates one slot — the [`run_query_into`] algorithm with the
 /// visited bitset standing in for the arrival-time scan.
-#[allow(clippy::too_many_arguments)]
 fn run_slot<P, R>(
-    overlay: &Overlay,
-    plane: &dyn DistancePlane,
+    links: &LinkCosts<'_>,
     policy: &P,
     spec: &QuerySpec,
     is_responder: &R,
@@ -563,6 +617,7 @@ fn run_slot<P, R>(
     P: ForwardPolicy + Sync + ?Sized,
     R: Fn(ObjectId, PeerId) -> bool + Sync,
 {
+    let overlay = links.overlay;
     let source = spec.source;
     scratch.clear();
     let mut seq = 0u64;
@@ -615,7 +670,7 @@ fn run_slot<P, R>(
         policy.forward_targets_into(overlay, peer, from_peer, &mut scratch.targets);
         for &target in scratch.targets.iter() {
             debug_assert!(overlay.are_neighbors(peer, target));
-            let cost = overlay.link_cost(plane, peer, target);
+            let cost = links.cost(peer, target);
             traffic += f64::from(cost);
             messages += 1;
             seq += 1;
