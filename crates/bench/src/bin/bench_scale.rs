@@ -48,7 +48,7 @@ fn main() {
             .unwrap_or_else(|e| e.exit(BIN));
         // CI smoke stays lean: no worker sweep under --check (the
         // sweep's digest-invariance claim is covered by the drift gate
-        // plus the dirty-planning differential suite).
+        // plus the engine's worker-count invariance test).
         let point = run_one(peers, workers, base.is_none());
         if let Some(base) = &base {
             check_regression(&point, base);
@@ -120,17 +120,16 @@ fn run_one(peers: usize, workers: usize, sweep: bool) -> ScalePoint {
     let point = scale::run_point_workers(peers, workers, sweep);
     eprintln!(
         "[bench_scale: {peers} peers — world {:.0} ms, oracle build {:.0} ms, mean round {:.1} ms, \
-         plan-skip rate {:.3}, state digest {:#018x}]",
+         state digest {:#018x}]",
         point.world_ms,
         point.oracle_build_ms,
         point.mean_round_ms,
-        point.plan_skip_rate,
         point.state_digest
     );
     for leg in &point.workers_sweep {
         eprintln!(
-            "[bench_scale:   workers={} — mean round {:.1} ms, plan-skip rate {:.3} (digest ok)]",
-            leg.workers, leg.mean_round_ms, leg.plan_skip_rate
+            "[bench_scale:   workers={} — mean round {:.1} ms (digest ok)]",
+            leg.workers, leg.mean_round_ms
         );
     }
     point

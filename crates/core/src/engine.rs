@@ -30,7 +30,7 @@ use ace_topology::{Delay, DistancePlane};
 use crate::audit::{InvariantViolation, ViolationKind};
 use crate::autorate::{AutoRateConfig, ControllerStats, RateController, RateSample};
 use crate::closure::Closure;
-use crate::core_cache::{CoreCache, CoreCacheStats, FxHasher};
+use crate::core_cache::{CoreCache, CoreCacheStats};
 use crate::cost_table::CostTable;
 use crate::fault::FaultConfig;
 use crate::mst::SlotEdge;
@@ -91,19 +91,6 @@ pub struct AceConfig {
     /// observation streams at round end, so the worker-count digest
     /// guarantee still holds.
     pub autorate: Option<AutoRateConfig>,
-    /// Convergence-aware dirty-set planning for the parallel pipeline:
-    /// each committed plan is cached with a digest of its inputs
-    /// (closure membership and adjacency, member tables, pairwise-core
-    /// cache state), and a peer whose digest is unchanged — and whose
-    /// cached plan needed no probes — replays the cached decision
-    /// instead of replanning. Behavior-invisible by construction (the
-    /// differential proptest pins it): digests, ledgers and overlay
-    /// wiring are bit-identical with the flag off. Lifecycle events and
-    /// autorate snap-to-floor invalidate the affected peers' caches.
-    /// Has no effect on the serial path, whose interleaved ledger
-    /// charges cannot be replayed from a cache without reordering
-    /// float sums.
-    pub dirty_planning: bool,
     /// Byte budget for the pairwise-core probe cache
     /// ([`crate::core_cache`]); `0` selects the 256 MiB default. When
     /// the budget is exceeded, oldest-inserted pairs are evicted and
@@ -124,7 +111,6 @@ impl AceConfig {
             workers: 0,
             faults: None,
             autorate: None,
-            dirty_planning: true,
             core_cache_budget: 0,
         }
     }
@@ -166,10 +152,9 @@ pub struct RoundStats {
     pub rejoined: usize,
     /// Control-traffic overhead incurred during the round.
     pub overhead: OverheadLedger,
-    /// Plans served from the dirty-set cache instead of replanned
-    /// ([`AceConfig::dirty_planning`]); always 0 on the serial path.
-    /// Each skipped plan still counts in `trees_built` — the peer's
-    /// tree was refreshed, just without recomputing it.
+    /// Always 0: every due peer replans its tree every round, as in
+    /// the paper's phase 2. Kept only because the benchmark under
+    /// `benchmark/` still reads it; see ROADMAP.
     pub plans_skipped: usize,
     /// Cumulative pairwise-core cache counters as of the end of the
     /// round (hits/misses/evictions are totals since engine
@@ -264,18 +249,9 @@ pub struct AceEngine {
     /// here, and a purge of `q` visits only `holders[q]` instead of
     /// every peer. `note_holder` keeps the lists bounded.
     holders: Vec<Vec<PeerId>>,
-    /// Per-peer dirty-set plan cache ([`AceConfig::dirty_planning`]).
-    plan_caches: Vec<PlanCache>,
     /// Reusable per-worker plan arenas, shared by the parallel pipeline
     /// and the serial round path.
     scratch: ScratchPool<PlanScratch>,
-    /// Per-peer state hashes ([`Self::peer_state_hash`]), refreshed once
-    /// per planned round right before stage A. Peer state is frozen for
-    /// the whole plan stage, and every closure containing a peer hashes
-    /// the same state — memoizing turns the digest's per-member
-    /// adjacency-and-table walk into one array read. Recomputed from
-    /// live state each round, so it can never go stale.
-    state_hashes: Vec<u64>,
     ledger: OverheadLedger,
     /// Completed optimization rounds; indexes the fault hash streams so
     /// every round draws fresh (but reproducible) fault decisions.
@@ -335,9 +311,7 @@ impl AceEngine {
             pending_traffic: None,
             core_cache,
             holders: vec![Vec::new(); peer_count],
-            plan_caches: vec![PlanCache::default(); peer_count],
             scratch: ScratchPool::new(),
-            state_hashes: Vec::new(),
             cfg,
             states,
             ledger: OverheadLedger::new(),
@@ -518,11 +492,6 @@ impl AceEngine {
 
     /// Applies the shared purge taxonomy ([`LifecycleEvent`]) to `peer`.
     fn apply_lifecycle(&mut self, peer: PeerId, event: LifecycleEvent) {
-        // Every lifecycle event makes the peer's cached plan meaningless
-        // (its state resets, or a new incarnation appears).
-        if let Some(c) = self.plan_caches.get_mut(peer.index()) {
-            c.valid = false;
-        }
         if event.purges_survivor_refs() {
             self.purge_peer_refs(peer);
         }
@@ -537,24 +506,20 @@ impl AceEngine {
         }
     }
 
-    /// Local churn response: each disturbed neighbor's dirty-set plan
-    /// cache is dropped (a churned neighborhood must be replanned from
-    /// scratch, never replayed) and, with a controller, its schedule
-    /// snaps back to the floor ([`RateController::snap_to_floor`]) so
-    /// the next round re-optimizes the neighborhood instead of coasting
-    /// through it on a stretched interval — the static schedule gets
-    /// exactly that for free by always running. The sync engine has a
-    /// single incarnation (0) per peer; fault injection runs serially
-    /// in both round paths, so the snaps are worker-count invariant.
+    /// Local churn response: with a controller, each disturbed
+    /// neighbor's schedule snaps back to the floor
+    /// ([`RateController::snap_to_floor`]) so the next round
+    /// re-optimizes the neighborhood instead of coasting through it on
+    /// a stretched interval — the static schedule gets exactly that for
+    /// free by always running. The sync engine has a single incarnation
+    /// (0) per peer; fault injection runs serially in both round paths,
+    /// so the snaps are worker-count invariant.
     fn snap_neighbors(&mut self, ov: &Overlay, neighbors: &[PeerId]) {
+        let Some(c) = self.controller.as_mut() else {
+            return;
+        };
         for &n in neighbors {
-            if !ov.is_alive(n) {
-                continue;
-            }
-            if let Some(cache) = self.plan_caches.get_mut(n.index()) {
-                cache.valid = false;
-            }
-            if let Some(c) = self.controller.as_mut() {
+            if ov.is_alive(n) {
                 c.snap_to_floor(n, 0, self.rounds_run);
             }
         }
@@ -789,8 +754,8 @@ impl AceEngine {
     ///
     /// The serial path charges probes and exchanges interleaved into the
     /// engine ledger (fixing the float summation order the committed
-    /// digests pin), so it never replays from the dirty-set cache — it
-    /// only shares the dense closure arenas with the plan pipeline.
+    /// digests pin); it shares only the dense closure arenas with the
+    /// plan pipeline.
     ///
     /// # Panics
     ///
@@ -876,12 +841,6 @@ impl AceEngine {
             );
         }
         self.apply_tree_diff(ov, oracle, peer, &scratch.tree);
-        // A serially built tree bypassed the digest bookkeeping, so the
-        // peer must not replay a stale cached plan in a later parallel
-        // round.
-        if let Some(c) = self.plan_caches.get_mut(peer.index()) {
-            c.valid = false;
-        }
         self.scratch.put(scratch);
     }
 
@@ -1235,70 +1194,20 @@ impl AceEngine {
         self.probe_with_faults(ov, oracle, ledger, a, b)
     }
 
-    /// Hash of one peer's planner-visible state: its adjacency list
-    /// (relay paths and internal edges are functions of it) and its
-    /// cost table. [`Self::refresh_state_hashes`] memoizes this per
-    /// round; [`plan_digest`](Self::plan_digest) computes it inline
-    /// when no memo table is supplied, so both paths produce identical
-    /// digests by construction.
-    fn peer_state_hash(&self, ov: &Overlay, m: PeerId) -> u64 {
-        let mut h = FxHasher::default();
-        let nbrs = ov.neighbors(m);
-        h.write_usize(nbrs.len());
-        for &nb in nbrs {
-            h.write_u32(nb.raw());
-        }
-        let table = &self.states[m.index()].table;
-        h.write_usize(table.len());
-        for &(nb, c) in table.as_slice() {
-            h.write_u32(nb.raw());
-            h.write_u32(c);
-        }
-        h.finish()
-    }
-
-    /// Recomputes every peer's [`Self::peer_state_hash`] into
-    /// `state_hashes`. Called once per planned round, after phase 1 and
-    /// before stage A: peer state is frozen for the whole plan stage,
-    /// and each peer sits in every closure that contains it (~closure
-    /// size of them), so hashing it once here replaces that many full
-    /// adjacency-and-table walks inside the parallel digest passes.
-    /// Rebuilding from live state each round means the memo can never
-    /// go stale, no matter what commits, faults, or lifecycle events
-    /// did in between.
-    fn refresh_state_hashes(&mut self, ov: &Overlay) {
-        let n = self.states.len();
-        let mut hashes = std::mem::take(&mut self.state_hashes);
-        hashes.clear();
-        hashes.reserve(n);
-        for i in 0..n {
-            hashes.push(self.peer_state_hash(ov, PeerId::new(i as u32)));
-        }
-        self.state_hashes = hashes;
-    }
-
-    /// Digest of every input that determines `plan_tree_scratch`'s
-    /// output and plan-stage ledger for `peer`: the closure membership
-    /// with hop depths, every member's planner-visible state
-    /// ([`Self::peer_state_hash`], read from `hashes` when the caller
-    /// refreshed the per-round memo table, recomputed inline
-    /// otherwise), and the pairwise-core cache state for the peer's
-    /// non-adjacent neighbor pairs (filled into `scratch.core_costs`
-    /// as a side effect, so the plan pass consults the cache exactly
-    /// once per pair whether or not the plan is replayed). Config
-    /// knobs and the static distance oracle are engine constants and
-    /// need no hashing; `rounds_run` is deliberately absent — it only
-    /// feeds the fault hashes, which is why only probe-free plans are
-    /// replayable.
-    fn plan_digest(
+    /// Stage A: plan one peer's phase 2 against the round-start snapshot,
+    /// using the worker's reusable arenas. Read-only on `self`; every
+    /// side effect is recorded in the plan. `want_snap` (set when faults
+    /// are configured) captures the closure tables for stage B, which
+    /// must read what stage A saw.
+    fn plan_tree_scratch(
         &self,
         ov: &Overlay,
+        oracle: &dyn DistancePlane,
         peer: PeerId,
-        hashes: Option<&[u64]>,
+        want_snap: bool,
         scratch: &mut PlanScratch,
-    ) -> u64 {
-        let mut h = FxHasher::default();
-        h.write_u32(peer.raw());
+    ) -> TreePlan {
+        scratch.collect_closure(ov, peer, self.cfg.depth);
         // The plan body touches, per member, four lines scattered
         // across peer-count-sized vecs (state header, table data,
         // neighbor-list header and data). Left to the walk itself those
@@ -1313,19 +1222,11 @@ impl AceEngine {
             std::hint::black_box(ov.neighbors(m).first().copied());
             std::hint::black_box(self.states[m.index()].table.as_slice().first().copied());
         }
-        for (i, &m) in scratch.members.iter().enumerate() {
-            h.write_u32(m.raw());
-            h.write_u8(scratch.hops[i]);
-            h.write_u64(match hashes {
-                Some(hs) => hs[m.index()],
-                None => self.peer_state_hash(ov, m),
-            });
-        }
         // Same batching for the pairwise-core probes: stage the
-        // non-adjacent pairs (the adjacency tests hit the neighbor
-        // lists the member walk just pulled in) with a prefetch each,
-        // then resolve them against lines already in flight.
-        scratch.core_costs.clear();
+        // non-adjacent neighbor pairs (the adjacency tests hit the
+        // neighbor lists the sweeps just pulled in) with a prefetch
+        // each, so the edge loop below resolves them against lines
+        // already in flight.
         scratch.pairs.clear();
         let nbrs = ov.neighbors(peer);
         for i in 0..nbrs.len() {
@@ -1337,50 +1238,6 @@ impl AceEngine {
                 self.core_cache.prefetch(a, b);
                 scratch.pairs.push((a, b));
             }
-        }
-        for k in 0..scratch.pairs.len() {
-            let (a, b) = scratch.pairs[k];
-            match self.core_cache.get(a, b) {
-                Some(c) => {
-                    h.write_u8(1);
-                    h.write_u32(c);
-                    scratch.core_costs.push(Some(c));
-                }
-                None => {
-                    h.write_u8(0);
-                    scratch.core_costs.push(None);
-                }
-            }
-        }
-        h.finish()
-    }
-
-    /// Stage A: plan one peer's phase 2 against the round-start snapshot,
-    /// using the worker's reusable arenas. Read-only on `self`; every
-    /// side effect is recorded in the plan.
-    ///
-    /// With [`AceConfig::dirty_planning`], a peer whose input digest
-    /// matches its cached committed plan — and whose cached plan needed
-    /// no probes, so no fault stream would be consumed — skips the whole
-    /// plan pass and replays the cached decision at commit.
-    /// `want_snap` (set when faults are configured) captures the closure
-    /// tables for stage B, which must read what stage A saw.
-    fn plan_tree_scratch(
-        &self,
-        ov: &Overlay,
-        oracle: &dyn DistancePlane,
-        peer: PeerId,
-        hashes: Option<&[u64]>,
-        want_snap: bool,
-        scratch: &mut PlanScratch,
-    ) -> TreeOutcome {
-        scratch.collect_closure(ov, peer, self.cfg.depth);
-        let digest = self.plan_digest(ov, peer, hashes, scratch);
-        let cache = &self.plan_caches[peer.index()];
-        if self.cfg.dirty_planning && cache.valid && cache.probe_free && cache.digest == digest {
-            let known = want_snap
-                .then(|| KnownSnap::capture(scratch, |w| self.states[w.index()].table.clone()));
-            return TreeOutcome::Replayed { peer, known };
         }
 
         let mut ledger = OverheadLedger::new();
@@ -1396,14 +1253,9 @@ impl AceEngine {
                 .or_else(|| self.plan_probe(ov, oracle, &mut ledger, a, b))
         });
         let mut core_probes: Vec<((PeerId, PeerId), Delay)> = Vec::new();
-        let nbrs = ov.neighbors(peer);
-        // The digest pass already staged the non-adjacent neighbor
-        // pairs (same (i, j) loop order) in `scratch.pairs`, parallel
-        // to `core_costs` — walk that instead of re-running the
-        // adjacency scans.
         for pair in 0..scratch.pairs.len() {
             let (a, b) = scratch.pairs[pair];
-            let cost = match scratch.core_costs[pair] {
+            let cost = match self.core_cache.get(a, b) {
                 Some(c) => Some(c),
                 None => {
                     // Concurrent planners may both pay for the same
@@ -1450,58 +1302,31 @@ impl AceEngine {
                 tree,
             );
         }
-        let probe_free = ledger.count_of(OverheadKind::Probe) == 0
-            && ledger.count_of(OverheadKind::ProbeRetry) == 0;
-        TreeOutcome::Planned(TreePlan {
+        TreePlan {
             peer,
             known,
             new_tree: scratch.tree.clone(),
             core_probes,
             ledger,
-            digest,
-            probe_free,
-        })
+        }
     }
 
     /// Serial commit of stage A: merge plan ledgers, fill the pairwise
     /// core cache (first value wins), and apply each tree diff — all in
     /// plan (peer-id) order, which also fixes float summation order.
-    /// Replayed outcomes merge the cached ledger and re-apply the cached
-    /// tree; the diff always runs against the *current* own-tree, so a
-    /// partner's intervening rewiring is handled identically either way.
     fn commit_trees(
         &mut self,
         ov: &Overlay,
         oracle: &dyn DistancePlane,
-        outcomes: &[TreeOutcome],
+        plans: &[TreePlan],
         stats: &mut RoundStats,
     ) {
-        for outcome in outcomes {
-            match outcome {
-                TreeOutcome::Replayed { peer, .. } => {
-                    let peer = *peer;
-                    let cached_ledger = self.plan_caches[peer.index()].ledger;
-                    self.ledger.merge(&cached_ledger);
-                    let new_tree = std::mem::take(&mut self.plan_caches[peer.index()].tree);
-                    self.apply_tree_diff(ov, oracle, peer, &new_tree);
-                    self.plan_caches[peer.index()].tree = new_tree;
-                    stats.plans_skipped += 1;
-                }
-                TreeOutcome::Planned(plan) => {
-                    self.ledger.merge(&plan.ledger);
-                    for &((a, b), c) in &plan.core_probes {
-                        self.core_cache.insert_if_absent(a, b, c);
-                    }
-                    self.apply_tree_diff(ov, oracle, plan.peer, &plan.new_tree);
-                    let cache = &mut self.plan_caches[plan.peer.index()];
-                    cache.valid = true;
-                    cache.digest = plan.digest;
-                    cache.probe_free = plan.probe_free;
-                    cache.ledger = plan.ledger;
-                    cache.tree.clear();
-                    cache.tree.extend_from_slice(&plan.new_tree);
-                }
+        for plan in plans {
+            self.ledger.merge(&plan.ledger);
+            for &((a, b), c) in &plan.core_probes {
+                self.core_cache.insert_if_absent(a, b, c);
             }
+            self.apply_tree_diff(ov, oracle, plan.peer, &plan.new_tree);
             stats.trees_built += 1;
         }
     }
@@ -1743,14 +1568,13 @@ impl AceEngine {
             ran[p.index()] = true;
             self.phase1_probe(ov, oracle, p);
         }
-        self.refresh_state_hashes(ov);
         let workers = self.effective_workers();
         // Table snapshots are only needed when mid-round faults can
         // mutate tables between the tree commit and the adaptation
         // stage; faultless rounds read live tables in stage B instead.
         let want_snap = self.cfg.faults.is_some();
 
-        let outcomes: Vec<TreeOutcome> = {
+        let plans: Vec<TreePlan> = {
             let this = &*self;
             let ov_ref = &*ov;
             plan_parallel_scratch(
@@ -1758,19 +1582,10 @@ impl AceEngine {
                 due.len(),
                 workers,
                 PlanScratch::default,
-                |scratch, i| {
-                    this.plan_tree_scratch(
-                        ov_ref,
-                        oracle,
-                        due[i],
-                        Some(&this.state_hashes),
-                        want_snap,
-                        scratch,
-                    )
-                },
+                |scratch, i| this.plan_tree_scratch(ov_ref, oracle, due[i], want_snap, scratch),
             )
         };
-        self.commit_trees(ov, oracle, &outcomes, &mut stats);
+        self.commit_trees(ov, oracle, &plans, &mut stats);
 
         // Injected departures/rejoins strike between the tree commit and
         // the adaptation stage: stage B plans only the survivors, against
@@ -1792,7 +1607,12 @@ impl AceEngine {
                     let i = survivors[k];
                     let peer = due[i];
                     let known = if want_snap {
-                        KnownView::Snap(outcomes[i].snapshot())
+                        KnownView::Snap(
+                            plans[i]
+                                .known
+                                .as_ref()
+                                .expect("fault configs snapshot the closure tables"),
+                        )
                     } else {
                         KnownView::Live(this, ov_ref, peer)
                     };
@@ -1801,7 +1621,7 @@ impl AceEngine {
                 },
             )
         };
-        drop(outcomes);
+        drop(plans);
         self.commit_adaptations(ov, oracle, adapt_plans, &mut stats);
 
         stats.overhead = self.ledger.since(&before);
@@ -2080,17 +1900,20 @@ impl AceEngine {
     }
 
     /// Test hook: runs one stage-A plan pass for `peer` with pooled
-    /// arenas and reports whether dirty-set planning replayed the cached
-    /// decision. On a converged, faultless engine this performs zero
-    /// heap allocations once the arenas are warm — the zero-alloc
-    /// micro-benchmark pins that.
+    /// arenas, without committing it, and returns the planned tree and
+    /// the plan's ledger. Once the arenas are warm, a probe-free plan
+    /// allocates only the returned tree — the zero-alloc test pins that.
     #[doc(hidden)]
-    pub fn dirty_plan_check(&self, ov: &Overlay, oracle: &dyn DistancePlane, peer: PeerId) -> bool {
+    pub fn plan_tree_check(
+        &self,
+        ov: &Overlay,
+        oracle: &dyn DistancePlane,
+        peer: PeerId,
+    ) -> (Vec<PeerId>, OverheadLedger) {
         let mut scratch = self.scratch.take().unwrap_or_default();
-        let outcome = self.plan_tree_scratch(ov, oracle, peer, None, false, &mut scratch);
-        let replayed = matches!(outcome, TreeOutcome::Replayed { .. });
+        let plan = self.plan_tree_scratch(ov, oracle, peer, false, &mut scratch);
         self.scratch.put(scratch);
-        replayed
+        (plan.new_tree, plan.ledger)
     }
 
     /// Order-independent digest of all per-peer ACE state plus the ledger
@@ -2136,59 +1959,6 @@ struct TreePlan {
     new_tree: Vec<PeerId>,
     core_probes: Vec<((PeerId, PeerId), Delay)>,
     ledger: OverheadLedger,
-    /// Digest of every input the plan read; keyed into [`PlanCache`].
-    digest: u64,
-    /// True when the plan charged no probes — the only plans eligible
-    /// for dirty-set replay (probe charges consume fault-hash draws
-    /// keyed by `rounds_run`, so replaying them would not be
-    /// behavior-invisible).
-    probe_free: bool,
-}
-
-/// Stage-A result per due peer: either a fresh plan or a replay of the
-/// peer's cached committed decision (dirty-set planning hit).
-enum TreeOutcome {
-    Replayed {
-        peer: PeerId,
-        known: Option<KnownSnap>,
-    },
-    Planned(TreePlan),
-}
-
-impl TreeOutcome {
-    fn snapshot(&self) -> &KnownSnap {
-        match self {
-            TreeOutcome::Replayed { known, .. } => known,
-            TreeOutcome::Planned(plan) => &plan.known,
-        }
-        .as_ref()
-        .expect("fault configs snapshot the closure tables")
-    }
-}
-
-/// Per-peer memo of the last committed tree plan, keyed by a digest of
-/// every input the planner read. While the digest is unchanged (and the
-/// plan was probe-free), stage A replays the cached decision instead of
-/// re-planning — the convergence-aware fast path.
-#[derive(Clone, Debug)]
-struct PlanCache {
-    valid: bool,
-    digest: u64,
-    probe_free: bool,
-    ledger: OverheadLedger,
-    tree: Vec<PeerId>,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache {
-            valid: false,
-            digest: 0,
-            probe_free: false,
-            ledger: OverheadLedger::new(),
-            tree: Vec::new(),
-        }
-    }
 }
 
 /// Stage B's view of the closure tables stage A gathered: a fault-time

@@ -1,12 +1,11 @@
 //! Reusable per-worker arenas for the round-plan hot path.
 //!
-//! `plan_tree`/`build_tree` used to allocate a fresh [`Closure`] (with
-//! its internal `HashMap` index), a fresh `HashMap<PeerId, CostTable>`
-//! of cloned tables, and fresh edge/probe vectors for **every peer,
-//! every round**. At 100k peers that is hundreds of thousands of
-//! allocations per round for state that is structurally identical each
-//! time. A [`PlanScratch`] owns all of it as clear-and-reuse arenas:
-//! one lives in each worker's slot of the engine's
+//! Planning a peer's round needs its closure, the closure's edges, the
+//! Prim state and the phase-3 selection buffers — structurally the same
+//! state for every peer, every round. A [`PlanScratch`] owns all of it
+//! as clear-and-reuse arenas instead of per-peer allocations (at 100k
+//! peers those would be hundreds of thousands per round): one lives in
+//! each worker's slot of the engine's
 //! [`ScratchPool`](ace_engine::pool::ScratchPool), and the serial path
 //! borrows from the same pool.
 //!
@@ -14,8 +13,6 @@
 //! `members` vector, source always slot 0). Membership tests use an
 //! epoch-stamped mark array sized to the peer count — clearing it
 //! between peers is a single epoch bump, not an `O(peers)` wipe.
-//!
-//! [`Closure`]: crate::closure::Closure
 
 use ace_overlay::{Overlay, PeerId};
 use ace_topology::Delay;
@@ -27,7 +24,7 @@ use crate::mst::{PrimScratch, SlotEdge};
 pub const NO_PARENT: u32 = u32::MAX;
 
 /// Reusable buffers for planning one peer's round. Clearing keeps every
-/// arena's capacity, so a steady-state plan pass allocates nothing.
+/// arena's capacity, so once warm the arenas allocate nothing.
 #[derive(Clone, Debug, Default)]
 pub struct PlanScratch {
     /// Closure members in BFS discovery order; `members[0]` is the
@@ -45,13 +42,9 @@ pub struct PlanScratch {
     epoch: u32,
     /// Closure edges in slot space.
     pub edges: Vec<SlotEdge>,
-    /// Per non-adjacent-neighbor-pair core costs, in pairwise loop
-    /// order; filled by the digest pass and replayed by the plan pass so
-    /// the cache is consulted once per pair.
-    pub core_costs: Vec<Option<Delay>>,
-    /// The non-adjacent neighbor pairs themselves, parallel to
-    /// `core_costs`; staged so the core-cache probes run as a batch
-    /// behind hardware prefetches instead of serialized DRAM misses.
+    /// The source's non-adjacent neighbor pairs, in pairwise loop
+    /// order; staged so the core-cache probes run as a batch behind
+    /// hardware prefetches instead of serialized DRAM misses.
     pub pairs: Vec<(PeerId, PeerId)>,
     /// Slot-space Prim state.
     pub prim: PrimScratch,
@@ -191,10 +184,8 @@ impl Iterator for RelayHops<'_> {
     }
 }
 
-/// A plan-time snapshot of the closure members' cost tables — the
-/// moral equivalent of the old `HashMap<PeerId, CostTable>` `known`
-/// map, kept as parallel vectors with linear lookup (closures are
-/// small). Only built when fault injection is configured: mid-round
+/// A plan-time snapshot of the closure members' cost tables, kept as
+/// parallel vectors with linear lookup (closures are small). Only built when fault injection is configured: mid-round
 /// faults mutate tables between the tree commit and the adaptation
 /// stage, so stage B must read what stage A saw. Without faults the
 /// engine reads live tables instead, which are provably identical

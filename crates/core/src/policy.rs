@@ -24,7 +24,7 @@ use ace_topology::Delay;
 use crate::autorate::AutoRateConfig;
 use crate::cost_table::CostTable;
 use crate::fault::FaultConfig;
-use crate::mst::{prim_heap, ClosureEdge, PrimScratch, SlotEdge};
+use crate::mst::{PrimScratch, SlotEdge};
 use crate::overhead::{OverheadKind, OverheadLedger};
 
 /// What the paper's Figure-4 rules decided for a probed candidate `H`
@@ -108,40 +108,12 @@ pub fn phase3_candidates_into(
 /// identically everywhere). `cost_of` supplies a neighbor's link cost;
 /// returning `None` (a neighbor whose probe was lost) drops it from the
 /// padding candidates.
-pub fn tree_with_scope_guard(
-    peer: PeerId,
-    members: &[PeerId],
-    edges: &[ClosureEdge],
-    nbrs: &[PeerId],
-    min_flooding: usize,
-    mut cost_of: impl FnMut(PeerId) -> Option<Delay>,
-) -> Vec<PeerId> {
-    let tree = prim_heap(peer, members, edges);
-    let mut new_tree = tree.tree_neighbors(peer);
-    if new_tree.len() < min_flooding {
-        let mut extras: Vec<(Delay, PeerId)> = nbrs
-            .iter()
-            .filter(|n| !new_tree.contains(n))
-            .filter_map(|&n| cost_of(n).map(|c| (c, n)))
-            .collect();
-        extras.sort_unstable();
-        for (_, n) in extras {
-            if new_tree.len() >= min_flooding {
-                break;
-            }
-            new_tree.push(n);
-        }
-    }
-    new_tree
-}
-
-/// Slot-space twin of [`tree_with_scope_guard`]: same tree, same
-/// padding, same `(cost, peer id)` tie-breaking — but edges come in
-/// dense closure slots, Prim state lives in the caller's reusable
-/// [`PrimScratch`], and the result is appended to a reusable buffer.
-/// The source peer must be slot 0 (`members[0] == peer`), which the
-/// closure BFS guarantees. `extras` is a scratch buffer for the scope
-/// guard's padding candidates.
+///
+/// Edges come in dense closure slots, Prim state lives in the caller's
+/// reusable [`PrimScratch`], and the result replaces the contents of
+/// `out`. The source peer must be slot 0 (`members[0] == peer`), which
+/// the closure BFS guarantees. `extras` is a scratch buffer for the
+/// scope guard's padding candidates.
 #[allow(clippy::too_many_arguments)]
 pub fn tree_with_scope_guard_scratch(
     peer: PeerId,
@@ -486,19 +458,19 @@ mod tests {
         // cost-unknown neighbor 4 is not padding material.
         let members = [p(0), p(1), p(2), p(3)];
         let edges = [
-            ClosureEdge {
-                a: p(0),
-                b: p(1),
+            SlotEdge {
+                a: 0,
+                b: 1,
                 cost: 1,
             },
-            ClosureEdge {
-                a: p(1),
-                b: p(2),
+            SlotEdge {
+                a: 1,
+                b: 2,
                 cost: 1,
             },
-            ClosureEdge {
-                a: p(1),
-                b: p(3),
+            SlotEdge {
+                a: 1,
+                b: 3,
                 cost: 1,
             },
         ];
@@ -508,10 +480,25 @@ mod tests {
             3 => Some(2),
             _ => None,
         };
-        let tree = tree_with_scope_guard(p(0), &members, &edges, &nbrs, 3, costs);
+        let (mut prim, mut extras) = (PrimScratch::default(), Vec::new());
+        let mut tree = vec![p(9)];
+        let mut guard = |min_flooding, tree: &mut Vec<PeerId>| {
+            tree_with_scope_guard_scratch(
+                p(0),
+                &members,
+                &edges,
+                &nbrs,
+                min_flooding,
+                costs,
+                &mut prim,
+                &mut extras,
+                tree,
+            )
+        };
+        guard(3, &mut tree);
         assert_eq!(tree, vec![p(1), p(3), p(2)]);
         // Guard off (min_flooding 1): plain MST neighbors.
-        let tree = tree_with_scope_guard(p(0), &members, &edges, &nbrs, 1, costs);
+        guard(1, &mut tree);
         assert_eq!(tree, vec![p(1)]);
     }
 

@@ -1,11 +1,11 @@
-//! Steady-state plan passes allocate nothing.
+//! Steady-state plan passes allocate nothing beyond their output.
 //!
 //! The round-plan hot path owns every buffer it needs in reusable
-//! arenas ([`PlanScratch`] via the engine's scratch pool), and a
-//! converged peer's plan is served from the dirty-set cache. This test
-//! wraps the global allocator with counters and pins the contract: once
-//! the arenas are warm, a full stage-A plan pass for an unchanged peer
-//! performs **zero** heap allocations (and zero reallocations).
+//! arenas ([`PlanScratch`] via the engine's scratch pool). This test
+//! wraps the global allocator with counters and pins the contract:
+//! once the arenas are warm, a full stage-A plan pass for a peer whose
+//! plan needs no probes performs exactly **one** heap allocation (and
+//! no reallocation) — the planned tree it hands to the commit stage.
 //!
 //! Kept as the only test in this binary so no sibling test thread can
 //! allocate concurrently and pollute the counters.
@@ -14,7 +14,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ace_core::experiments::{PhysKind, Scenario, ScenarioConfig};
-use ace_core::{AceConfig, AceEngine};
+use ace_core::{AceConfig, AceEngine, OverheadKind, OverheadLedger};
 
 struct CountingAlloc;
 
@@ -64,42 +64,39 @@ fn steady_state_plan_pass_allocates_nothing() {
             ..AceConfig::paper_default()
         },
     );
-    // Drive toward steady state: run until most plans replay from the
-    // dirty-set cache (full zero-change convergence is rare under the
-    // random policy, but per-peer stability is the common case).
-    let mut stable = false;
-    for _ in 0..60 {
-        let s = ace.round(&mut w.overlay, &w.oracle, &mut w.rng);
-        if s.plans_skipped * 2 > s.trees_built {
-            stable = true;
-            break;
-        }
+    // Drive toward steady state: after a few rounds most peers' core
+    // pairs are cached, so their plans need no probes.
+    for _ in 0..10 {
+        ace.round(&mut w.overlay, &w.oracle, &mut w.rng);
     }
-    assert!(stable, "plan inputs failed to stabilize within 60 rounds");
+    let probe_free = |ledger: OverheadLedger| {
+        ledger.count_of(OverheadKind::Probe) == 0 && ledger.count_of(OverheadKind::ProbeRetry) == 0
+    };
 
-    // Pick a peer whose plan currently replays.
+    // Pick a peer whose plan is probe-free and yields a non-empty tree.
+    // This first pass also warms the arenas (closure marks, edge lists,
+    // pair staging, Prim state) inside the pooled scratch.
     let peer = w
         .overlay
         .alive_peers()
-        .find(|&p| ace.dirty_plan_check(&w.overlay, &w.oracle, p))
-        .expect("some peer replays in the stabilized state");
+        .find(|&p| {
+            let (tree, ledger) = ace.plan_tree_check(&w.overlay, &w.oracle, p);
+            probe_free(ledger) && !tree.is_empty()
+        })
+        .expect("some peer plans without probes in the steady state");
+    let (warm_tree, _) = ace.plan_tree_check(&w.overlay, &w.oracle, peer);
 
-    // Warm pass: builds arena capacity (closure marks, edge lists,
-    // digest cost buffer) inside the pooled scratch.
-    assert!(
-        ace.dirty_plan_check(&w.overlay, &w.oracle, peer),
-        "converged peer must replay from the dirty-set cache"
-    );
-
-    // Measured pass: same peer, warm arenas — must not touch the heap.
+    // Measured pass: same peer, warm arenas — only the returned tree
+    // may touch the heap.
     let before = ALLOCS.load(Ordering::SeqCst);
-    let replayed = ace.dirty_plan_check(&w.overlay, &w.oracle, peer);
+    let (tree, ledger) = ace.plan_tree_check(&w.overlay, &w.oracle, peer);
     let after = ALLOCS.load(Ordering::SeqCst);
-    assert!(replayed, "steady-state plan must replay");
+    assert!(probe_free(ledger), "steady-state plan must need no probes");
+    assert_eq!(tree, warm_tree, "an unchanged peer plans the same tree");
     assert_eq!(
         after - before,
-        0,
-        "steady-state plan pass allocated {} times",
+        1,
+        "steady-state plan pass allocated {} times; only its output tree may",
         after - before
     );
 }

@@ -322,4 +322,84 @@ mod tests {
         assert!(Message::decode(Bytes::from_static(&[2, 0])).is_err()); // truncated query
         assert!(Message::decode(Bytes::new()).is_err());
     }
+
+    /// Builds one message of every variant from drawn fields; list
+    /// lengths come from `len`, so a caller can force the `u16` count
+    /// field's full range.
+    fn message_of(tag: u8, word: u64, len: usize) -> Message {
+        let peers = || {
+            (0..len)
+                .map(|i| PeerId::new(word as u32 ^ i as u32))
+                .collect()
+        };
+        match tag % 13 {
+            0 => Message::Ping,
+            1 => Message::Pong { addrs: peers() },
+            2 => Message::Query {
+                id: word,
+                ttl: (word >> 8) as u8,
+                object: (word >> 32) as u32,
+            },
+            3 => Message::QueryHit {
+                id: word,
+                responder: PeerId::new(word as u32),
+            },
+            4 => Message::Probe { nonce: word },
+            5 => Message::ProbeReply { nonce: word },
+            6 => Message::CostTable {
+                owner: PeerId::new((word >> 32) as u32),
+                entries: (0..len)
+                    .map(|i| (PeerId::new(i as u32), word as u32 ^ i as u32))
+                    .collect(),
+            },
+            7 => Message::Connect,
+            8 => Message::ConnectOk,
+            9 => Message::Disconnect,
+            10 => Message::ProbeRequest { targets: peers() },
+            11 => Message::ForwardRequest,
+            _ => Message::ForwardCancel,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// `decode` never panics on arbitrary input: the first byte is
+        /// drawn near the tag range so every variant's length checks
+        /// see truncated and over-long bodies, not just unknown tags.
+        #[test]
+        fn decode_never_panics(
+            tag in 0u8..16,
+            body in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..96),
+        ) {
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&body);
+            let _ = Message::decode(Bytes::from(bytes));
+        }
+
+        /// `encode` → `decode` is the identity for every variant with
+        /// short lists.
+        #[test]
+        fn encode_decode_round_trips(
+            tag in 0u8..13,
+            word in proptest::prelude::any::<u64>(),
+            len in 0usize..40,
+        ) {
+            let m = message_of(tag, word, len);
+            proptest::prop_assert_eq!(Message::decode(m.encode()), Ok(m));
+        }
+    }
+
+    /// The count field's ceiling: lists of exactly `u16::MAX` entries
+    /// round-trip too.
+    #[test]
+    fn longest_lists_round_trip() {
+        for tag in [1, 6, 10] {
+            round_trip(message_of(
+                tag,
+                0xABCD_1234_5678_9EF0,
+                usize::from(u16::MAX),
+            ));
+        }
+    }
 }

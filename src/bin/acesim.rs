@@ -71,9 +71,31 @@ fn get_num<T: std::str::FromStr>(
     }
 }
 
+/// [`get_num`] for a flag with a lower bound: a value below `min` is
+/// rejected with a message naming the flag instead of reaching a
+/// generator or overlay builder that would panic on it.
+fn get_at_least(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: usize,
+    min: usize,
+) -> Result<usize, String> {
+    let v = get_num(flags, key, default)?;
+    if v < min {
+        return Err(format!("--{key} must be at least {min}, got {v}"));
+    }
+    Ok(v)
+}
+
 fn cmd_generate(flags: &HashMap<String, String>) -> Result<(), String> {
     let kind = flags.get("kind").map(String::as_str).unwrap_or("two-level");
-    let nodes: usize = get_num(flags, "nodes", 2000)?;
+    // The BA seed clique must fit in the graph.
+    let min_nodes = if kind == "ba" {
+        BaConfig::default().seed_nodes
+    } else {
+        0
+    };
+    let nodes = get_at_least(flags, "nodes", 2000, min_nodes)?;
     let seed: u64 = get_num(flags, "seed", 1)?;
     let mut rng = StdRng::seed_from_u64(seed);
     let graph: Graph = match kind {
@@ -166,8 +188,8 @@ fn cmd_export(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
-    let peers: usize = get_num(flags, "peers", 400)?;
-    let degree: usize = get_num(flags, "degree", 6)?;
+    let peers = get_at_least(flags, "peers", 400, 2)?;
+    let degree = get_at_least(flags, "degree", 6, 2)?;
     let steps: usize = get_num(flags, "steps", 10)?;
     let depth: u8 = get_num(flags, "depth", 1)?;
     let seed: u64 = get_num(flags, "seed", 1)?;
@@ -222,7 +244,7 @@ fn cmd_optimize(flags: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_dynamic(flags: &HashMap<String, String>) -> Result<(), String> {
-    let peers: usize = get_num(flags, "peers", 300)?;
+    let peers = get_at_least(flags, "peers", 300, 2)?;
     let queries: u64 = get_num(flags, "queries", 2000)?;
     let window: u64 = get_num(flags, "window", 200)?;
     let seed: u64 = get_num(flags, "seed", 1)?;
@@ -232,7 +254,7 @@ fn cmd_dynamic(flags: &HashMap<String, String>) -> Result<(), String> {
         Some(AceConfig::paper_default())
     };
     let cache: Option<usize> = match flags.get("cache") {
-        Some(v) => Some(v.parse().map_err(|_| format!("invalid --cache '{v}'"))?),
+        Some(_) => Some(get_at_least(flags, "cache", 0, 1)?),
         None => None,
     };
     let scenario = ScenarioConfig {

@@ -132,3 +132,41 @@ fn export_formats_work() {
     assert!(stderr.contains("unknown --format"));
     let _ = std::fs::remove_file(path);
 }
+
+/// Out-of-range sizes fail with the usual `error: …` + usage instead
+/// of panicking inside the overlay builder or the topology generator.
+#[test]
+fn out_of_range_sizes_fail_cleanly() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["optimize", "--peers", "0"], "--peers"),
+        (&["optimize", "--peers", "1"], "--peers"),
+        (&["optimize", "--degree", "0"], "--degree"),
+        (&["optimize", "--degree", "1"], "--degree"),
+        (&["dynamic", "--peers", "0"], "--peers"),
+        (&["dynamic", "--peers", "1"], "--peers"),
+        (&["dynamic", "--cache", "0"], "--cache"),
+        (&["generate", "--kind", "ba", "--nodes", "1"], "--nodes"),
+        (&["generate", "--kind", "ba", "--nodes", "2"], "--nodes"),
+    ];
+    for &(args, flag) in cases {
+        let (ok, _, stderr) = acesim(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(!stderr.contains("panicked"), "{args:?} panicked: {stderr}");
+        assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(stderr.contains("USAGE"), "{args:?}: {stderr}");
+    }
+}
+
+/// The smallest accepted sizes run to completion.
+#[test]
+fn smallest_accepted_sizes_run() {
+    let cases: &[&[&str]] = &[
+        &["optimize", "--peers", "2", "--degree", "2", "--steps", "1"],
+        &["generate", "--kind", "ba", "--nodes", "3"],
+    ];
+    for &args in cases {
+        let (ok, stdout, stderr) = acesim(args);
+        assert!(ok, "{args:?}: {stdout}{stderr}");
+    }
+}

@@ -5,7 +5,6 @@ use ace_core::experiments::{
     differential_run, ChurnKind as DiffChurnKind, ChurnStep, DifferentialConfig, OverlayKind,
     PhysKind, Scenario, ScenarioConfig,
 };
-use ace_core::mst::{kruskal, prim, prim_heap, ClosureEdge};
 use ace_core::{AceConfig, AceEngine, AceForward, Closure, FaultConfig};
 use ace_overlay::{run_query, FloodAll, PeerId, QueryConfig};
 use proptest::prelude::*;
@@ -73,36 +72,6 @@ proptest! {
         prop_assert!(tree.scope as f64 >= 0.9 * flood.scope as f64,
             "scope {} vs {}", tree.scope, flood.scope);
         prop_assert!(tree.traffic_cost <= flood.traffic_cost * 1.01);
-    }
-
-    /// Prim (dense and heap) and Kruskal agree on spanning weight for
-    /// random connected closure subgraphs.
-    #[test]
-    fn mst_algorithms_agree(n in 3usize..24, extra in 0usize..40, seed in any::<u64>()) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let members: Vec<PeerId> = (0..n as u32).map(PeerId::new).collect();
-        let mut edges = Vec::new();
-        // Random spanning chain + extra random edges.
-        for i in 1..n {
-            edges.push(ClosureEdge {
-                a: members[i - 1],
-                b: members[i],
-                cost: rng.gen_range(1..100),
-            });
-        }
-        for _ in 0..extra {
-            let i = rng.gen_range(0..n);
-            let j = rng.gen_range(0..n);
-            if i != j {
-                edges.push(ClosureEdge { a: members[i], b: members[j], cost: rng.gen_range(1..100) });
-            }
-        }
-        let dense = prim(members[0], &members, &edges);
-        let heap = prim_heap(members[0], &members, &edges);
-        let kk = kruskal(&members, &edges);
-        prop_assert_eq!(dense.weight(), heap.weight());
-        prop_assert_eq!(dense.weight(), kk.weight());
-        prop_assert_eq!(dense.len(), n - 1);
     }
 
     /// Closures are internally consistent: every member within depth, relay
